@@ -10,14 +10,21 @@ use o4a_solvers::{CoverageMap, SolverId};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
-/// FNV-1a, 64 bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+/// FNV-1a, 64 bit, hashing text as it is written, so that the digest
+/// of a large result buffers nothing (and adds nothing to the peak
+/// memory the benchmark reports).
+struct Fnv1a(u64);
+
+impl Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
-fn export(out: &mut String, maps: &BTreeMap<SolverId, CoverageMap>) {
+fn export(out: &mut Fnv1a, maps: &BTreeMap<SolverId, CoverageMap>) {
     for (&id, map) in maps {
         let _ = write!(out, "{id:?}={:?};", map.export(&universe(id)));
     }
@@ -25,18 +32,20 @@ fn export(out: &mut String, maps: &BTreeMap<SolverId, CoverageMap>) {
 
 /// The digest of one campaign result.
 pub fn digest(result: &CampaignResult) -> u64 {
-    let mut text = format!(
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    let _ = write!(
+        hash,
         "{:?}\n{:?}\n{:?}\n",
         result.stats.sans_transport(),
         result.findings,
         result.snapshots
     );
-    export(&mut text, &result.coverage);
+    export(&mut hash, &result.coverage);
     for hour in &result.hourly_coverage {
-        text.push('\n');
-        export(&mut text, hour);
+        let _ = hash.write_char('\n');
+        export(&mut hash, hour);
     }
-    fnv1a(text.as_bytes())
+    hash.0
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! campaign, traced or not, must match the digest of a reference
 //! campaign run on an independent path. The last line of standard output
 //! is the JSON result. The same binary also serves as the mock solver
-//! (`o4a-perf mock ...`) and as a fleet worker (`o4a-perf worker ...`).
+//! (`o4a-perf mock ...`) and as a fleet worker (`o4a-perf worker ...`),
+//! and runs the benchmark itself in a child process (`o4a-perf run ...`).
 
 mod digest;
 mod report;
@@ -27,20 +28,17 @@ use o4a_solvers::SolverId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use report::{result_line, Metrics, END_TO_END, PER_LAYER};
-use stats::{median, Dist};
+use stats::{fast_spans, median, Dist};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 use trace::{timed, Shared, Trace, TracedFuzzer, PROBE_US};
 use workload::{campaign_seed, gate, run_untraced, Ctx, Gate, Workload};
 
 /// The seed of a run that names none.
 const DEFAULT_SEED: u64 = 1;
-
-/// Standalone setups a `--trace 0` run times first, in a fresh process,
-/// before the setups of its in-process campaigns.
-const STANDALONE_SETUPS: usize = 5;
 
 struct Args {
     workload: Workload,
@@ -97,8 +95,8 @@ fn main() {
     match args.peek().map(String::as_str) {
         Some("mock") => mock(args.skip(1)),
         Some("worker") => worker(args.skip(1)),
-        _ => {
-            let args = parse_args(args);
+        Some("run") => {
+            let args = parse_args(args.skip(1));
             let dir = PathBuf::from(".perf_runs").join(std::process::id().to_string());
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).expect("create the run directory");
@@ -117,7 +115,26 @@ fn main() {
                 }
             }
         }
+        _ => relaunch(args),
     }
+}
+
+/// Runs the benchmark (the `run` role) in a child process and exits
+/// with its status. `cargo run` replaces itself with this binary, and
+/// `exec` keeps the peak resident set of every process cargo reaped
+/// (the compiler, right after a build) as this process's children's;
+/// a fresh child's count of its own children starts from zero.
+fn relaunch(args: impl Iterator<Item = String>) -> ! {
+    let exe = std::env::current_exe().expect("the running binary has a path");
+    let status = std::process::Command::new(exe)
+        .arg("run")
+        .args(args)
+        .status()
+        .unwrap_or_else(|e| {
+            eprintln!("o4a-perf: cannot start the benchmark process: {e}");
+            std::process::exit(1);
+        });
+    std::process::exit(status.code().unwrap_or(1));
 }
 
 /// This binary as a command word: relative to the working directory
@@ -219,52 +236,68 @@ fn run(args: &Args, ctx: &Ctx) -> std::io::Result<String> {
     }
 
     let w = args.workload;
-    standalone_setups(&setups, STANDALONE_SETUPS);
-    let campaigns = (args.seconds / w.nominal_seconds()).round().max(1.0) as usize;
-    let configs: Vec<CampaignConfig> = (0..w.distinct_plans(campaigns))
+    let configs: Vec<CampaignConfig> = (0..w.plans())
         .map(|i| w.plan(campaign_seed(args.seed, i as u64)))
         .collect();
     workload::warm_templates(w, ctx, &configs);
-    let (mut rates, mut walls, mut cpus, mut runs) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for i in 0..campaigns {
+    let start = Instant::now();
+    // (plan, spans, CPU spans, check) of every campaign; the results are
+    // dropped, so that memory does not grow with the campaign count.
+    let mut runs: Vec<(usize, Vec<f64>, Vec<f64>, workload::Check)> = Vec::new();
+    loop {
+        let i = runs.len();
         let plan = i % configs.len();
         let config = &configs[plan];
+        // One standalone setup per campaign spreads the setup samples
+        // over the whole run.
+        standalone_setup(&setups, i as u64);
         let m = run_untraced(w, ctx, config, plan, i, &setups)?;
-        let cases = m.result.stats.cases as f64;
-        rates.push(match w {
-            // Setup runs inside the workers, once per lease.
-            Workload::Fleet => cases / m.wall_s,
-            _ => cases / (m.wall_s - last_setup(&setups)),
-        });
         eprintln!(
             "o4a-perf: campaign {i} (seed {}): {} cases, wall {:.3} s, cpu {:.3} s, {:.1} cases/s",
             config.seed,
             m.result.stats.cases,
-            m.wall_s,
-            m.cpu_s,
-            rates[rates.len() - 1]
+            m.wall_s(),
+            m.cpu_s(),
+            m.result.stats.cases as f64 / m.case_s()
         );
-        walls.push(m.wall_s);
-        cpus.push(m.cpu_s);
-        runs.push((plan, m));
+        let check = workload::check(config, &m.result, m.fleet.as_ref());
+        runs.push((plan, m.spans, m.cpu_spans, check));
+        // Stop after the whole round of plans (one campaign of each)
+        // that ends closest to the run's seconds.
+        let elapsed = start.elapsed().as_secs_f64();
+        let rounds = runs.len() / configs.len();
+        if runs.len().is_multiple_of(configs.len())
+            && elapsed * (1.0 + 0.5 / rounds as f64) > args.seconds
+        {
+            break;
+        }
     }
     let peak_rss_mb = sys::peak_rss_mb();
     let expected = workload::references(w, ctx, &configs);
-    for (plan, m) in &runs {
-        tally.add(gate(
-            &configs[*plan],
-            &m.result,
-            m.fleet.as_ref(),
-            expected[*plan],
-        ));
+    for (plan, _, _, check) in &runs {
+        tally.add(check.gate(expected[*plan]));
     }
+    // Each span of each plan at the tenth percentile of its repeats: the
+    // host's speed drifts by up to twofold over tens of seconds, and the
+    // fast repeats of a span are the ones least slowed by it.
+    let (mut cases, mut case_s, mut wall_s, mut cpu_s) = (0.0, 0.0, 0.0, 0.0);
+    for (plan, config) in configs.iter().enumerate() {
+        let repeats = runs.iter().filter(|r| r.0 == plan);
+        let spans = fast_spans(repeats.clone().map(|r| r.1.as_slice()));
+        cases += config.max_cases as f64;
+        case_s += spans[1..].iter().sum::<f64>();
+        wall_s += spans.iter().sum::<f64>();
+        cpu_s += fast_spans(repeats.map(|r| r.2.as_slice()))
+            .iter()
+            .sum::<f64>();
+    }
+    let plans = configs.len() as f64;
     let setups = setups.lock().expect("setup samples poisoned").clone();
     let metrics: Metrics = [
         ("setup_s", median(&setups)),
-        ("cases_per_s", median(&rates)),
-        ("wall_s", median(&walls)),
-        ("cpu_s", median(&cpus)),
+        ("cases_per_s", cases / case_s),
+        ("wall_s", wall_s / plans),
+        ("cpu_s", cpu_s / plans),
         ("peak_rss_mb", peak_rss_mb),
     ]
     .into_iter()
@@ -284,16 +317,14 @@ fn last_setup(setups: &Arc<Mutex<Vec<f64>>>) -> f64 {
     *setups.last().expect("the campaign ran its fuzzer's setup")
 }
 
-/// Times `n` setups of the paper's fuzzer, outside any campaign.
-fn standalone_setups(setups: &Arc<Mutex<Vec<f64>>>, n: usize) {
-    for i in 0..n {
-        let mut rng = StdRng::seed_from_u64(i as u64);
-        let (_, us) = timed(|| Once4AllFuzzer::with_defaults().setup(&mut rng));
-        setups
-            .lock()
-            .expect("setup samples poisoned")
-            .push(us / 1e6);
-    }
+/// Times one setup of the paper's fuzzer, outside any campaign.
+fn standalone_setup(setups: &Arc<Mutex<Vec<f64>>>, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (_, us) = timed(|| Once4AllFuzzer::with_defaults().setup(&mut rng));
+    setups
+        .lock()
+        .expect("setup samples poisoned")
+        .push(us / 1e6);
 }
 
 /// A frontend validator with every call timed.
@@ -516,9 +547,9 @@ fn traced_run(
 
     let setup_of = |wall: f64, setup: f64| cases / (wall - setup);
     let (untraced_rate, traced_rate) = match &fleet {
-        Some((_, coordinator_s)) => (cases / untraced.wall_s, cases / coordinator_s),
+        Some((_, coordinator_s)) => (cases / untraced.wall_s(), cases / coordinator_s),
         None => (
-            setup_of(untraced.wall_s, last_setup(setups)),
+            setup_of(untraced.wall_s(), last_setup(setups)),
             setup_of(traced_wall_s, t.seconds("setup_us")),
         ),
     };
@@ -526,7 +557,7 @@ fn traced_run(
         "bench.trace_overhead_frac".into(),
         1.0 - traced_rate / untraced_rate,
     );
-    dist_metrics(&mut m, &config, untraced.fleet.as_ref(), untraced.wall_s)?;
+    dist_metrics(&mut m, &config, untraced.fleet.as_ref(), untraced.wall_s())?;
     m.insert(
         "bench.failed_frac".into(),
         tally.failed as f64 / tally.attempted as f64,

@@ -80,6 +80,22 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// The elementwise nearest-rank tenth percentile of span lists: the
+/// fastest of up to ten repeats, the second fastest of up to twenty,
+/// and so on. Lists of different length are cut to the shortest.
+pub fn fast_spans<'a>(lists: impl IntoIterator<Item = &'a [f64]>) -> Vec<f64> {
+    let lists: Vec<&[f64]> = lists.into_iter().collect();
+    let len = lists.iter().map(|l| l.len()).min().unwrap_or(0);
+    (0..len)
+        .map(|i| {
+            percentile(
+                &Dist::new(lists.iter().map(|l| l[i]).collect()).sorted,
+                10.0,
+            )
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,6 +117,19 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
+    }
+
+    #[test]
+    fn fast_spans_take_each_position_s_tenth_percentile() {
+        let a = [3.0, 1.0, 4.0];
+        let b = [2.0, 7.0, 1.0];
+        assert_eq!(fast_spans([&a[..], &b[..]]), vec![2.0, 1.0, 1.0]);
+        assert_eq!(fast_spans([&a[..], &b[..2]]), vec![2.0, 1.0]);
+        assert_eq!(fast_spans([&a[..]]), a.to_vec());
+        assert!(fast_spans(std::iter::empty::<&[f64]>()).is_empty());
+        // Of 11 to 20 repeats, the second fastest.
+        let many: Vec<[f64; 1]> = (1..=15).map(|i| [f64::from(i)]).collect();
+        assert_eq!(fast_spans(many.iter().map(|l| &l[..])), vec![2.0]);
     }
 
     #[test]

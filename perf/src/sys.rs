@@ -40,16 +40,19 @@ fn seconds(t: &Timeval) -> f64 {
     t.sec as f64 + t.usec as f64 / 1e6
 }
 
-/// User plus system CPU seconds of this process and of every child it
-/// has reaped.
-pub fn cpu_seconds() -> f64 {
-    [RUSAGE_SELF, RUSAGE_CHILDREN]
-        .into_iter()
-        .map(|who| {
-            let u = usage(who);
-            seconds(&u.utime) + seconds(&u.stime)
-        })
-        .sum()
+fn cpu_of(who: c_int) -> f64 {
+    let u = usage(who);
+    seconds(&u.utime) + seconds(&u.stime)
+}
+
+/// User plus system CPU seconds of this process.
+pub fn self_cpu_seconds() -> f64 {
+    cpu_of(RUSAGE_SELF)
+}
+
+/// User plus system CPU seconds of every child this process has reaped.
+pub fn children_cpu_seconds() -> f64 {
+    cpu_of(RUSAGE_CHILDREN)
 }
 
 /// The larger of this process's peak resident set and that of its
@@ -60,7 +63,9 @@ pub fn cpu_seconds() -> f64 {
 /// peak of whatever process spawned it (`cargo run`), which survives
 /// `exec`. A child's `ru_maxrss` starts from this process's resident set
 /// when it was spawned, so it never reports more than this process or
-/// the child itself used.
+/// the child itself used; and since the benchmark runs in a child of
+/// the launching process (see `relaunch`), no process reaped before it
+/// started counts among its children.
 pub fn peak_rss_mb() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
     let own_kib: f64 = status
@@ -77,12 +82,13 @@ mod tests {
 
     #[test]
     fn cpu_time_grows_with_work() {
-        let before = cpu_seconds();
+        let before = self_cpu_seconds();
         let mut x = 0u64;
         for i in 0..50_000_000u64 {
             x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(i));
         }
-        assert!(cpu_seconds() > before, "{x}");
+        assert!(self_cpu_seconds() > before, "{x}");
+        assert!(children_cpu_seconds() >= 0.0);
         assert!(peak_rss_mb() > 1.0);
     }
 }

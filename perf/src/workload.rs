@@ -6,7 +6,7 @@
 //! cap binds, the virtual budget does not), which the gate checks.
 
 use crate::digest::digest;
-use crate::sys::cpu_seconds;
+use crate::sys::{children_cpu_seconds, self_cpu_seconds};
 use crate::trace::timed;
 use o4a_core::{run_campaign, CampaignConfig, CampaignResult, Fuzzer, Once4AllFuzzer, TestCase};
 use o4a_dist::{run_distributed, DistConfig, DistReport};
@@ -36,6 +36,8 @@ pub enum Workload {
 /// Cases per `inproc` campaign: the paper's 24 virtual hours at time
 /// scale 3000, capped below what the budget affords on every seed.
 pub const INPROC_CASES: usize = 1_000;
+/// Distinct `inproc` plans per run.
+pub const INPROC_PLANS: usize = 6;
 /// Cases per `pipe_cached` campaign.
 pub const PIPE_CASES: usize = 3_000;
 /// The last cases of a `pipe_cached` plan, which miss the warm cache:
@@ -45,10 +47,12 @@ pub const PIPE_MISSED_CASES: usize = 500;
 /// In-flight queries per `pipe_cached` lane.
 pub const PIPE_INFLIGHT: usize = 4;
 /// Cases per `fleet` campaign.
-pub const FLEET_CASES: usize = 2_000;
-/// Shards of the `fleet` plan: eight leases per worker, short enough
+pub const FLEET_CASES: usize = 1_000;
+/// Distinct `fleet` plans per run.
+pub const FLEET_PLANS: usize = 3;
+/// Shards of the `fleet` plan: four leases per worker, short enough
 /// that the workers finish close together.
-pub const FLEET_SHARDS: u32 = 16;
+pub const FLEET_SHARDS: u32 = 8;
 /// Worker processes of the `fleet`.
 pub const FLEET_WORKERS: u32 = 2;
 
@@ -77,28 +81,17 @@ impl Workload {
         }
     }
 
-    /// Distinct plans a run of `campaigns` campaigns measures; the
-    /// campaigns cycle through them. The in-process workloads draw a
-    /// fresh plan per campaign, since their solver time depends on the
-    /// generated cases. `pipe_cached` repeats one plan: the mock answers
+    /// Distinct plans a run measures; its campaigns cycle through them
+    /// until the run's seconds are spent. `inproc` and `fleet` draw
+    /// several plans, since their solver time depends on the generated
+    /// cases. `pipe_cached` repeats one plan: the mock answers
     /// by hashing, so its work per case hardly depends on the plan, and
     /// one reference and one cache template serve every campaign.
-    pub fn distinct_plans(self, campaigns: usize) -> usize {
+    pub fn plans(self) -> usize {
         match self {
+            Workload::Inproc => INPROC_PLANS,
             Workload::PipeCached => 1,
-            _ => campaigns,
-        }
-    }
-
-    /// Seconds of a run's `--seconds` budget each campaign stands for: a
-    /// run measures `round(seconds / this)` campaigns. Set so that every
-    /// workload's run, references included, takes 30 to 45 s on a 2-core
-    /// x86-64 box.
-    pub fn nominal_seconds(self) -> f64 {
-        match self {
-            Workload::Inproc => 5.5,
-            Workload::PipeCached => 4.4,
-            Workload::Fleet => 11.0,
+            Workload::Fleet => FLEET_PLANS,
         }
     }
 }
@@ -137,18 +130,31 @@ impl Ctx {
     }
 }
 
-/// The paper's fuzzer with the wall time of each `setup` recorded.
+/// Cases per timed window of an `inproc` or `pipe_cached` campaign.
+pub const WINDOW_CASES: usize = 100;
+
+/// The instants, with this process's CPU seconds, at which a campaign
+/// asked for case 0, `WINDOW_CASES`, `2 * WINDOW_CASES`, ...
+pub type Marks = Arc<Mutex<Vec<(Instant, f64)>>>;
+
+/// The paper's fuzzer with the wall time of each `setup` recorded, and
+/// the instant of every [`WINDOW_CASES`]th `next_case` call.
 pub struct SetupTimed {
     inner: Once4AllFuzzer,
     setups: Arc<Mutex<Vec<f64>>>,
+    marks: Marks,
+    calls: usize,
 }
 
 impl SetupTimed {
-    /// A default fuzzer recording its setup seconds into `setups`.
-    pub fn new(setups: &Arc<Mutex<Vec<f64>>>) -> SetupTimed {
+    /// A default fuzzer recording its setup seconds into `setups` and
+    /// its window marks into `marks`.
+    pub fn new(setups: &Arc<Mutex<Vec<f64>>>, marks: &Marks) -> SetupTimed {
         SetupTimed {
             inner: Once4AllFuzzer::with_defaults(),
             setups: Arc::clone(setups),
+            marks: Arc::clone(marks),
+            calls: 0,
         }
     }
 }
@@ -168,6 +174,13 @@ impl Fuzzer for SetupTimed {
     }
 
     fn next_case(&mut self, rng: &mut StdRng) -> TestCase {
+        if self.calls.is_multiple_of(WINDOW_CASES) {
+            self.marks
+                .lock()
+                .expect("window marks poisoned")
+                .push((Instant::now(), self_cpu_seconds()));
+        }
+        self.calls += 1;
         self.inner.next_case(rng)
     }
 }
@@ -176,23 +189,66 @@ impl Fuzzer for SetupTimed {
 pub struct Measured {
     /// The campaign result.
     pub result: CampaignResult,
-    /// Wall seconds, setup included.
-    pub wall_s: f64,
-    /// CPU seconds of this process and its reaped children.
-    pub cpu_s: f64,
+    /// The campaign's wall time cut into spans: from its start to its
+    /// first case (setup included), then one span per window of
+    /// [`WINDOW_CASES`] cases, the last ending with the campaign. A
+    /// `fleet` campaign, whose cases run in the workers, has the spans
+    /// `[0, wall]`.
+    pub spans: Vec<f64>,
+    /// The CPU seconds of this process in each span; the CPU seconds of
+    /// the children reaped during the campaign (solver and worker
+    /// processes, which end with it) count in the last span.
+    pub cpu_spans: Vec<f64>,
     /// The fleet report, on `fleet`.
     pub fleet: Option<DistReport>,
 }
 
+impl Measured {
+    /// Wall seconds, setup included.
+    pub fn wall_s(&self) -> f64 {
+        self.spans.iter().sum()
+    }
+
+    /// Wall seconds from the first case on.
+    pub fn case_s(&self) -> f64 {
+        self.spans[1..].iter().sum()
+    }
+
+    /// CPU seconds of this process and its reaped children.
+    pub fn cpu_s(&self) -> f64 {
+        self.cpu_spans.iter().sum()
+    }
+}
+
+/// Times a campaign of `config`, cutting its wall and CPU time at the
+/// first `max_cases / WINDOW_CASES` of `marks` (later ones are
+/// speculative cases past the cap).
 fn measure(
+    config: &CampaignConfig,
+    marks: &Marks,
     run: impl FnOnce() -> io::Result<(CampaignResult, Option<DistReport>)>,
 ) -> io::Result<Measured> {
-    let cpu = cpu_seconds();
-    let start = Instant::now();
+    let children = children_cpu_seconds();
+    let start = (Instant::now(), self_cpu_seconds());
     let (result, fleet) = run()?;
+    let end = (
+        Instant::now(),
+        self_cpu_seconds() + children_cpu_seconds() - children,
+    );
+    let mut edges = vec![start];
+    let marks = marks.lock().expect("window marks poisoned");
+    edges.extend(marks.iter().take(config.max_cases / WINDOW_CASES));
+    if edges.len() == 1 {
+        edges.push(start);
+    }
+    edges.push(end);
+    let pairs = edges.windows(2);
     Ok(Measured {
-        wall_s: start.elapsed().as_secs_f64(),
-        cpu_s: cpu_seconds() - cpu,
+        spans: pairs
+            .clone()
+            .map(|e| (e[1].0 - e[0].0).as_secs_f64())
+            .collect(),
+        cpu_spans: pairs.map(|e| e[1].1 - e[0].1).collect(),
         result,
         fleet,
     })
@@ -264,12 +320,14 @@ pub fn run_untraced(
     setups: &Arc<Mutex<Vec<f64>>>,
 ) -> io::Result<Measured> {
     let tag = format!("c{run}");
+    let marks = Marks::default();
     match workload {
         Workload::Inproc => {
             // As `run_campaign_resumable` journals any campaign.
             let store = FindingsStore::new(ctx.path(&format!("{tag}.jsonl")));
-            let factory = |_shard: u32| Box::new(SetupTimed::new(setups)) as Box<dyn Fuzzer>;
-            measure(|| {
+            let factory =
+                |_shard: u32| Box::new(SetupTimed::new(setups, &marks)) as Box<dyn Fuzzer>;
+            measure(config, &marks, || {
                 run_campaign_resumable(factory, config, &serial_exec(1), &store).map(|r| (r, None))
             })
         }
@@ -277,15 +335,15 @@ pub fn run_untraced(
             let cache = ctx.path(&format!("{tag}-cache"));
             copy_dir(&ctx.template(plan), &cache)?;
             let backend = pipe_backend(ctx, config).with_cache_dir(&cache);
-            let mut fuzzer = SetupTimed::new(setups);
-            measure(|| {
+            let mut fuzzer = SetupTimed::new(setups, &marks);
+            measure(config, &marks, || {
                 let result = run_shard_piped(&mut fuzzer, config, 0, None, PIPE_INFLIGHT, &backend);
                 Ok((result, None))
             })
         }
         Workload::Fleet => {
             let dist = fleet_config(ctx, &ctx.path(&format!("{tag}-journals")), false);
-            measure(|| {
+            measure(config, &marks, || {
                 let report = run_distributed(config, FLEET_SHARDS, &dist)?;
                 Ok((report.result.clone(), Some(report)))
             })
@@ -346,13 +404,23 @@ pub struct Gate {
     pub failed: u64,
 }
 
-/// Checks one campaign against its plan and the reference digest.
-pub fn gate(
+/// What the gate needs of one campaign, taken when it ends so that its
+/// result need not be kept.
+pub struct Check {
+    seed: u64,
+    planned: u64,
+    problem: Option<String>,
+    digest: u64,
+    lost: u64,
+}
+
+/// Checks one campaign against its plan; [`Check::gate`] then compares
+/// it with the reference digest.
+pub fn check(
     config: &CampaignConfig,
     result: &CampaignResult,
     fleet: Option<&DistReport>,
-    reference: u64,
-) -> Gate {
+) -> Check {
     let planned = config.max_cases as u64;
     // Merged statistics sum the virtual time of every shard, each of
     // which has the whole budget.
@@ -362,28 +430,53 @@ pub fn gate(
         Some(format!("ran {} of {planned} cases", result.stats.cases))
     } else if result.stats.virtual_seconds >= budget_s {
         Some(format!("virtual budget of {budget_s} s ran out"))
-    } else if digest(result) != reference {
-        Some("digest differs from the reference campaign".to_string())
     } else {
         None
     };
-    if let Some(problem) = problem {
-        eprintln!("o4a-perf: campaign seed {}: {problem}", config.seed);
-        return Gate {
-            planned,
-            failed: planned,
-        };
-    }
-    let mut failed = result.stats.process_respawns;
+    let mut lost = result.stats.process_respawns;
     if let Some(report) = fleet {
         let shard_cases = config.max_cases.div_ceil(FLEET_SHARDS as usize) as u64;
-        failed +=
-            report.stats.leases_reissued * shard_cases + u64::from(report.stats.worker_deaths);
+        lost += report.stats.leases_reissued * shard_cases + u64::from(report.stats.worker_deaths);
     }
-    Gate {
+    Check {
+        seed: config.seed,
         planned,
-        failed: failed.min(planned),
+        problem,
+        digest: digest(result),
+        lost,
     }
+}
+
+impl Check {
+    /// The gate's verdict, given the plan's reference digest.
+    pub fn gate(&self, reference: u64) -> Gate {
+        let problem = match &self.problem {
+            Some(problem) => Some(problem.as_str()),
+            None if self.digest != reference => Some("digest differs from the reference campaign"),
+            None => None,
+        };
+        if let Some(problem) = problem {
+            eprintln!("o4a-perf: campaign seed {}: {problem}", self.seed);
+            return Gate {
+                planned: self.planned,
+                failed: self.planned,
+            };
+        }
+        Gate {
+            planned: self.planned,
+            failed: self.lost.min(self.planned),
+        }
+    }
+}
+
+/// Checks one campaign against its plan and the reference digest.
+pub fn gate(
+    config: &CampaignConfig,
+    result: &CampaignResult,
+    fleet: Option<&DistReport>,
+    reference: u64,
+) -> Gate {
+    check(config, result, fleet).gate(reference)
 }
 
 #[cfg(test)]
