@@ -5,13 +5,12 @@
 //! Scenarios (all the identical campaign plan, so the cases/sec numbers
 //! compare like for like):
 //!
-//! * `serial` — the classic one-query-at-a-time stepper loop;
+//! * `serial` — the in-process engines through the shard loop, one case
+//!   in flight at a time;
 //! * `serial_traced` — the same loop with the o4a-obs substrate armed
 //!   (trace spans + metrics recorded in-memory, ring drained per run);
 //!   the `serial` / `serial_traced` pair is the committed price of
 //!   turning observability on;
-//! * `overlapped_k1` / `overlapped_k8` — the async in-process backend
-//!   with K queries in flight per shard worker;
 //! * `pipe_spawn_k8` / `pipe_session_k8` — external mock-solver
 //!   processes over stdin/stdout pipes (zero injected latency, so the
 //!   number measures transport overhead, not sleeps);
@@ -31,7 +30,7 @@ use o4a_core::{
     adapt_fill_arena, parse_fill_into, skeletonize_arena, synthesize_arena, CampaignConfig,
     CampaignResult, Once4AllFuzzer, SkeletonConfig,
 };
-use o4a_exec::{run_shard_overlapped, run_shard_piped, PipeBackend};
+use o4a_exec::{run_shard_piped, PipeBackend};
 use o4a_llm::RawTerm;
 use o4a_obs::json::{obj, Json};
 use o4a_smtlib::eval::{no_defs, DomainConfig, Evaluator};
@@ -69,11 +68,6 @@ fn serial_traced(config: &CampaignConfig) -> CampaignResult {
     let result = serial(config);
     let _ = o4a_obs::trace::drain_events();
     result
-}
-
-fn overlapped(config: &CampaignConfig, k: usize) -> CampaignResult {
-    let mut fuzzer = Once4AllFuzzer::with_defaults();
-    run_shard_overlapped(&mut fuzzer, config, 0, None, k)
 }
 
 fn piped(config: &CampaignConfig, k: usize, mode: SolverMode) -> CampaignResult {
@@ -278,14 +272,6 @@ fn bench(c: &mut Criterion) {
             rate
         }),
         (
-            "overlapped_k1",
-            cases_per_sec(&config, |cfg| overlapped(cfg, 1)),
-        ),
-        (
-            "overlapped_k8",
-            cases_per_sec(&config, |cfg| overlapped(cfg, 8)),
-        ),
-        (
             "pipe_spawn_k8",
             cases_per_sec(&config, |cfg| piped(cfg, 8, SolverMode::Spawn)),
         ),
@@ -332,7 +318,7 @@ fn bench(c: &mut Criterion) {
     }
     print!("{line}");
 
-    // The criterion group re-measures the cheapest scenario pair so the
+    // The criterion group re-measures the serial scenario so the
     // standard statistical machinery (outliers, regressions) also sees
     // the engine; the JSON above is the committed artifact.
     let mut g = c.benchmark_group("campaign_throughput");
@@ -343,9 +329,6 @@ fn bench(c: &mut Criterion) {
     };
     g.bench_function("serial_120_cases", |b| {
         b.iter(|| serial(&small).stats.cases)
-    });
-    g.bench_function("overlapped_k8_120_cases", |b| {
-        b.iter(|| overlapped(&small, 8).stats.cases)
     });
     g.finish();
 }

@@ -52,10 +52,10 @@ impl Scale {
 
 /// The parallelism knob every experiment driver routes through: shard
 /// count from `O4A_SHARDS` (default 1 — bit-identical to the paper's
-/// serial protocol), worker count from `O4A_WORKERS` (default: one per
-/// CPU), and overlapped in-flight queries per worker from `O4A_INFLIGHT`
-/// (default 1; any `K` is bit-identical to serial — the knob trades
-/// nothing but executor scheduling). Campaigns *within* a comparison
+/// serial protocol) and worker count from `O4A_WORKERS` (default: one per
+/// CPU), plus the pipe-transport knobs (`O4A_SOLVER_CMD`, and
+/// `O4A_INFLIGHT` cases in flight per worker over its pipes; any `K` is
+/// bit-identical to serial). Campaigns *within* a comparison
 /// additionally fan out across fuzzers, so even `O4A_SHARDS=1` benefits
 /// from the pool.
 pub fn exec_knob() -> ExecConfig {

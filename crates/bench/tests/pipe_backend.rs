@@ -99,6 +99,9 @@ fn piped_shard(config: &CampaignConfig, inflight: usize, backend: &PipeBackend) 
 /// K ∈ {4, 8} in flight — completions re-sequence by case index before
 /// campaign state sees them, and the mock's answers are pure functions of
 /// the script, so fan-out across child processes cannot leak scheduling.
+/// K = 32 is the speculative-overrun boundary: a window wider than the
+/// whole campaign generates cases past the stopping point, which must be
+/// discarded, not counted.
 #[test]
 fn piped_campaign_is_identical_for_k_1_4_8() {
     let config = quick_config();
@@ -106,10 +109,14 @@ fn piped_campaign_is_identical_for_k_1_4_8() {
     let reference = fingerprint(&piped_shard(&config, 1, &backend));
     assert!(reference.0.cases > 0, "reference ran no cases");
     assert!(
+        reference.0.cases < 32,
+        "the K = 32 window must be wider than the campaign"
+    );
+    assert!(
         reference.0.decisive > 0,
         "mock never answered sat/unsat — the transport is not being exercised"
     );
-    for k in [4usize, 8] {
+    for k in [4usize, 8, 32] {
         assert_eq!(
             fingerprint(&piped_shard(&config, k, &backend)),
             reference,

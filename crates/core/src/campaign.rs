@@ -235,7 +235,7 @@ pub struct SolverRun {
 
 /// A fully executed test case, not yet applied to campaign state.
 ///
-/// This is the unit the overlapped engine re-sequences: execution
+/// This is the unit the `o4a-exec` shard loop re-sequences: execution
 /// (generate + solver checks) is side-effect-free with respect to the
 /// campaign, so any number of cases can be in flight out of order, while
 /// [`CampaignStepper::apply_case`] — clock, stats, findings, snapshots —
@@ -268,8 +268,9 @@ pub enum StepOutcome {
 /// one test case per [`CampaignStepper::step`].
 ///
 /// [`run_campaign`] drives it serially; the `o4a-exec` crate drives one
-/// stepper per shard on a worker pool. Keeping every side effect of a case
-/// inside `step` is what makes the two paths behaviourally identical.
+/// apply-only stepper per shard on a worker pool. Keeping every side
+/// effect of a case inside [`CampaignStepper::apply_case`] is what makes
+/// the two paths behaviourally identical.
 pub struct CampaignStepper {
     config: CampaignConfig,
     solvers: Vec<Box<dyn SmtSolver>>,
@@ -298,8 +299,8 @@ impl CampaignStepper {
     /// [`CampaignStepper::execute_case`] must not be called — only
     /// [`CampaignStepper::apply_case`] (plus setup/finish). This is the
     /// constructor for drivers that execute cases through an external
-    /// backend, like the overlapped async engine in `o4a-exec`, which
-    /// would otherwise pay for a second, unused solver bank per shard.
+    /// lane bank, like the shard loop in `o4a-exec`, which would
+    /// otherwise pay for a second, unused solver bank per shard.
     pub fn apply_only(config: &CampaignConfig) -> CampaignStepper {
         CampaignStepper::build(config, false)
     }
@@ -377,9 +378,9 @@ impl CampaignStepper {
     /// trailing snapshots) once the budget is spent.
     ///
     /// Equivalent to [`CampaignStepper::execute_case`] followed by
-    /// [`CampaignStepper::apply_case`] — the overlapped engine in
-    /// `o4a-exec` drives those two halves with up to `K` executions in
-    /// flight between them.
+    /// [`CampaignStepper::apply_case`] — the shard loop in `o4a-exec`
+    /// drives those two halves through its solver lanes, with up to `K`
+    /// executions in flight between them.
     pub fn step(&mut self, fuzzer: &mut dyn Fuzzer, rng: &mut StdRng) -> StepOutcome {
         if self.is_exhausted() {
             self.fill_trailing_snapshots();
@@ -394,7 +395,7 @@ impl CampaignStepper {
     /// the responses and per-solver coverage deltas **without touching any
     /// campaign state** (clock, stats, findings, snapshots). Executions
     /// are therefore order-independent and safe to perform speculatively —
-    /// the property the overlapped async engine relies on.
+    /// the property the `o4a-exec` shard loop relies on.
     pub fn execute_case(&mut self, case: TestCase) -> CaseExecution {
         assert!(
             self.solvers.len() == self.config.solvers.len(),

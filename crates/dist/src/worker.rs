@@ -295,8 +295,8 @@ where
             }
         };
 
-        // Transport knobs (inflight, external solver command) come from
-        // this worker's environment — the overlap/pipe equivalence laws
+        // Transport knobs (external solver command, its in-flight window)
+        // come from this worker's environment — the pipe equivalence laws
         // guarantee they cannot change results, only throughput.
         let exec = ExecConfig {
             shards: plan.shards,

@@ -1,15 +1,13 @@
-//! The overlapped shard runner: `K` solver queries in flight per worker.
+//! The shard loop and the solver-lane banks it runs over.
 //!
-//! A shard worker running [`crate::run_shard`] serializes on every solver
-//! query; against real external solvers (the pipe-driven backends the
-//! async trait is designed for) that leaves the worker idle for the whole
-//! round-trip. This module drives the same campaign as a **pipeline**:
+//! Every shard — leased or local, in-process or piped — runs through one
+//! loop over a bank of [`AsyncSmtSolver`] lanes, as a **pipeline**:
 //!
 //! 1. **Generate** — test cases are drawn from the fuzzer in case-index
-//!    order (the RNG stream is untouched by overlap);
+//!    order (the RNG stream is untouched by the in-flight window);
 //! 2. **Execute** — up to `K` cases are in flight at once on an
-//!    [`InFlightPool`] of [`AsyncSmtSolver`] futures, completing in
-//!    latency order, not submission order;
+//!    [`InFlightPool`] of lane futures, completing in latency order, not
+//!    submission order;
 //! 3. **Re-sequence** — completions pass through a [`Sequencer`] and are
 //!    applied to the [`CampaignStepper`] strictly in case-index order.
 //!
@@ -22,11 +20,12 @@
 //! exactly reproducing the serial stopping point. `crates/executor/README.md`
 //! spells out the full determinism argument.
 //!
-//! Two solver banks plug into the same loop:
+//! Two lane banks plug into the loop:
 //!
-//! * [`run_shard_overlapped`] — the in-process engines behind the
-//!   latency-simulating adapter ([`LatencySolver`]), completing on the
-//!   executor's virtual tick clock;
+//! * [`run_shard`] — the in-process engines ([`InProcessSolver`]). They
+//!   compute on the worker's own thread and resolve on first poll, so
+//!   overlapping them buys nothing: they run with a window of one, and
+//!   the serial engine is `K = 1` of the loop;
 //! * [`run_shard_piped`] — **external solver processes**
 //!   ([`o4a_solvers::PipeSolver`]) answering over stdin/stdout pipes,
 //!   with the worker blocking in the fd reactor's `poll(2)` while all
@@ -47,28 +46,17 @@ use o4a_core::{
 };
 use o4a_executor::{FdReactor, InFlightPool, Sequencer};
 use o4a_solvers::{
-    solver_with_config, AsyncSmtSolver, LatencyModel, LatencySolver, PipeCommand, PipeSolver,
-    SolverMode, VerdictCache,
+    solver_with_config, AsyncSmtSolver, InProcessSolver, PipeCommand, PipeSolver, SolverMode,
+    VerdictCache,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::rc::Rc;
 use std::time::Duration;
 
-/// Latency ceiling (in executor ticks) of the simulated solver lanes.
-/// High enough that neighbouring in-flight cases routinely complete out
-/// of order, low enough to stay negligible next to solver compute.
-const MAX_LATENCY_TICKS: u64 = 16;
-
-/// The latency stream of one solver lane in one shard: decorrelated from
-/// the campaign RNG (which must stay bit-identical to the serial engine)
-/// and from the other lanes.
-fn lane_latency(shard_seed: u64, lane: usize) -> LatencyModel {
-    let seed = shard_seed
-        .rotate_left(17)
-        .wrapping_add((lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    LatencyModel::uniform(seed, 0, MAX_LATENCY_TICKS)
-}
+/// The in-flight window of in-process lanes: their checks are CPU-bound
+/// on the worker's thread, so a wider window would only speculate.
+pub(crate) const IN_PROCESS_WINDOW: usize = 1;
 
 /// The external-process solver backend configuration: the command line
 /// every lane spawns (with `{lane}` substituted per solver lane), the
@@ -190,13 +178,12 @@ impl PipeBackend {
 }
 
 /// One case's in-flight work: every solver lane queried in campaign
-/// order, with each lane's latency (simulated ticks or a real pipe
-/// round-trip) awaited before its result is available.
+/// order, with each lane's latency (none for in-process lanes, a pipe
+/// round-trip for external ones) awaited before its result is available.
 async fn case_future(solvers: &[&dyn AsyncSmtSolver], case: TestCase) -> CaseExecution {
     // The span covers the whole in-flight life of the case, queue waits
-    // included — the overlapped counterpart of the serial stepper's
-    // `case.execute` span. Held across awaits: the executor is
-    // single-threaded, so the guard drops on the recording thread.
+    // included. Held across awaits: the executor is single-threaded, so
+    // the guard drops on the recording thread.
     let _span = o4a_obs::trace::span("core", "case.execute").arg("bytes", case.text.len() as u64);
     let mut runs = Vec::with_capacity(solvers.len());
     for solver in solvers {
@@ -210,40 +197,33 @@ async fn case_future(solvers: &[&dyn AsyncSmtSolver], case: TestCase) -> CaseExe
     CaseExecution { case, runs }
 }
 
-/// Runs one shard with up to `inflight` overlapped cases against the
-/// latency-simulating in-process solver bank, reporting findings to
-/// `sink` in case order (the same order [`crate::run_shard`] reports
-/// them). `inflight = 1` degenerates to strict serial submission through
-/// the same async plumbing.
-///
-/// # Panics
-///
-/// Panics when `inflight` is zero.
-pub fn run_shard_overlapped(
+/// Runs one shard to completion on the in-process solver engines,
+/// reporting findings to `sink` as they are discovered (the crash-durable
+/// persistence point). The engines compute on this thread, so the loop
+/// keeps one case in flight: generate, check, apply, in turn.
+pub fn run_shard(
     fuzzer: &mut dyn Fuzzer,
     shard_config: &CampaignConfig,
     shard: u32,
     sink: Option<&dyn FindingSink>,
-    inflight: usize,
 ) -> CampaignResult {
-    let solvers: Vec<Box<dyn AsyncSmtSolver>> = shard_config
+    let solvers: Vec<InProcessSolver> = shard_config
         .solvers
         .iter()
-        .enumerate()
-        .map(|(lane, &(id, commit))| {
-            Box::new(LatencySolver::new(
-                solver_with_config(id, commit, shard_config.engine.clone()),
-                lane_latency(shard_config.seed, lane),
-            )) as Box<dyn AsyncSmtSolver>
+        .map(|&(id, commit)| {
+            InProcessSolver::new(solver_with_config(id, commit, shard_config.engine.clone()))
         })
         .collect();
-    let lanes: Vec<&dyn AsyncSmtSolver> = solvers.iter().map(Box::as_ref).collect();
+    let lanes: Vec<&dyn AsyncSmtSolver> = solvers
+        .iter()
+        .map(|lane| lane as &dyn AsyncSmtSolver)
+        .collect();
     let result = run_shard_on(
         fuzzer,
         shard_config,
         shard,
         sink,
-        inflight,
+        IN_PROCESS_WINDOW,
         &lanes,
         &mut || {},
         None,
@@ -318,11 +298,11 @@ pub fn run_shard_piped(
     result
 }
 
-/// The transport-agnostic overlapped shard loop: generate in case order,
-/// keep up to `inflight` [`case_future`]s resident, re-sequence
-/// completions, apply in order. `idle` runs when a poll round finds no
-/// runnable future and must wake at least one (a no-op for tick-driven
-/// banks, the reactor's blocking `poll(2)` for pipe-driven ones).
+/// The shard loop: generate in case order, keep up to `inflight`
+/// [`case_future`]s resident, re-sequence completions, apply in order.
+/// `idle` runs when a poll round finds no runnable future and must wake
+/// at least one (never reached by in-process lanes, which resolve on
+/// first poll; the reactor's blocking `poll(2)` for pipe-driven ones).
 ///
 /// Findings stream to `sink` during the run; the **caller** reports
 /// shard completion (after folding in any transport-level stats), so

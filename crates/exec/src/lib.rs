@@ -25,20 +25,21 @@
 //!   of an N-way plan as a standalone unit (a pure function of
 //!   `(config, shards, shard)`), which is what the `o4a-dist`
 //!   coordinator hands its worker processes as dynamic leases.
-//! * **Overlapped in-flight queries** — with [`ExecConfig::inflight`]
-//!   `= K > 1` each shard worker pipelines `K` cases through the async
-//!   solver backend ([`o4a_solvers::AsyncSmtSolver`]) on a tokio-free
-//!   poll-loop executor (`o4a-executor`), re-sequencing out-of-order
-//!   completions by case index so results stay bit-identical to the
-//!   serial engine ([`run_shard_overlapped`]).
-//!
+//! * **One shard loop** — every shard, leased or local, runs through one
+//!   loop over a bank of [`o4a_solvers::AsyncSmtSolver`] lanes on a
+//!   tokio-free poll-loop executor (`o4a-executor`): generate in case
+//!   order, keep up to `K` cases in flight, re-sequence completions by
+//!   case index, apply in order. In-process engines run as lanes with a
+//!   window of one ([`run_shard`]); external solvers widen it.
 //! * **External solver processes** — with [`ExecConfig::solver_cmd`]
 //!   (the `O4A_SOLVER_CMD` knob) each shard worker spawns the named
 //!   solver binary per lane and drives it **over stdin/stdout pipes**
-//!   ([`run_shard_piped`], [`o4a_solvers::PipeSolver`]): scripts stream
-//!   to the child's stdin, replies parse incrementally from its stdout
-//!   via the fd reactor's `poll(2)`, and crashed or wedged processes
-//!   become crash findings (killed + respawned), never hangs.
+//!   ([`run_shard_piped`], [`o4a_solvers::PipeSolver`]) with
+//!   [`ExecConfig::inflight`] (the `O4A_INFLIGHT` knob) cases in flight:
+//!   scripts stream to the child's stdin, replies parse incrementally
+//!   from its stdout via the fd reactor's `poll(2)`, and crashed or
+//!   wedged processes become crash findings (killed + respawned), never
+//!   hangs.
 //!   [`ExecConfig::solver_mode`] (the `O4A_SOLVER_MODE` knob) picks the
 //!   transport: `spawn` fans `K` in-flight queries out across up to `K`
 //!   children per lane, `session` multiplexes them as `(push 1)` /
@@ -57,8 +58,8 @@
 //! let exec = ExecConfig {
 //!     shards: 4,
 //!     parallelism: Parallelism::Auto,
-//!     inflight: 8,
-//!     solver_cmd: None, // Some("z3 -in".into()) drives real Z3 over pipes
+//!     solver_cmd: Some("z3 -in".into()), // None keeps the in-process engines
+//!     inflight: 8,                       // cases in flight per worker over the pipes
 //!     ..ExecConfig::default()
 //! };
 //! let result = run_campaign_sharded(
@@ -66,7 +67,7 @@
 //!     &CampaignConfig::default(),
 //!     &exec,
 //! );
-//! println!("{} cases across 4 shards, 8 queries in flight each", result.stats.cases);
+//! println!("{} cases across 4 shards, 8 in flight each", result.stats.cases);
 //! ```
 
 #![warn(missing_docs)]
@@ -74,13 +75,13 @@
 pub use o4a_cache::{CacheSession, CacheStore};
 pub use o4a_obs::json;
 
-pub mod overlap;
+pub mod lanes;
 pub mod shard;
 pub mod store;
 
-pub use overlap::{run_shard_overlapped, run_shard_piped, PipeBackend};
+pub use lanes::{run_shard, run_shard_piped, PipeBackend};
 pub use shard::{
-    merge_shard_results, parallel_map, run_campaign_sharded, run_campaign_sharded_with, run_shard,
+    merge_shard_results, parallel_map, run_campaign_sharded, run_campaign_sharded_with,
     run_shard_lease, shard_config, shard_configs, shard_seed, ExecConfig, FindingSink, Parallelism,
 };
 pub use store::{FindingsStore, StoreSession};

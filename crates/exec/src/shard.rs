@@ -23,14 +23,13 @@
 //!   merge then falls back to the per-shard maximum, a documented lower
 //!   bound.
 
+use crate::lanes::{run_shard, run_shard_piped, PipeBackend, IN_PROCESS_WINDOW};
 use o4a_core::{
-    dedup_refs, CampaignConfig, CampaignResult, CampaignStats, CampaignStepper, CoveragePoint,
-    Finding, Fuzzer, HourlySnapshot, StepOutcome,
+    dedup_refs, CampaignConfig, CampaignResult, CampaignStats, CoveragePoint, Finding, Fuzzer,
+    HourlySnapshot,
 };
 use o4a_solvers::coverage::universe;
 use o4a_solvers::{CoverageMap, SolverMode};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -68,10 +67,12 @@ pub struct ExecConfig {
     pub shards: u32,
     /// Worker pool sizing.
     pub parallelism: Parallelism,
-    /// Overlapped solver queries per shard worker (≥ 1). At `1` each
-    /// worker drives the classic serial loop; above `1` it pipelines `K`
-    /// cases through the async solver backend
-    /// ([`crate::run_shard_overlapped`]) with bit-identical results.
+    /// Cases in flight per shard worker on the pipe transport (≥ 1, the
+    /// `O4A_INFLIGHT` knob): each worker keeps up to `K` cases in flight
+    /// against its external solver processes, with bit-identical results
+    /// for any `K` ([`crate::run_shard_piped`]). The in-process engines
+    /// always run one case at a time, so this is ignored without
+    /// [`ExecConfig::solver_cmd`].
     pub inflight: usize,
     /// External solver command (the `O4A_SOLVER_CMD` knob). When set,
     /// every shard worker drives **solver processes over pipes**
@@ -133,9 +134,9 @@ impl ExecConfig {
     /// Reads the engine knobs from the environment: `O4A_SHARDS` (shard
     /// count, default 1 — the paper's serial protocol), `O4A_WORKERS`
     /// (worker threads; `1` forces [`Parallelism::Serial`], unset means
-    /// [`Parallelism::Auto`]), `O4A_INFLIGHT` (overlapped queries per
-    /// worker, default 1), `O4A_SOLVER_CMD` (external solver command;
-    /// unset or blank keeps the in-process engines), and
+    /// [`Parallelism::Auto`]), `O4A_INFLIGHT` (cases in flight per
+    /// pipe-driven worker, default 1), `O4A_SOLVER_CMD` (external solver
+    /// command; unset or blank keeps the in-process engines), and
     /// `O4A_SOLVER_MODE` (`spawn` or `session` — process-per-query vs.
     /// one persistent incremental session per lane), `O4A_CACHE`
     /// (verdict-cache directory; unset or blank means no cache), and
@@ -265,36 +266,10 @@ where
         .collect()
 }
 
-/// Runs one shard to completion, reporting findings to `sink` as they are
-/// discovered (the crash-durable persistence point).
-pub fn run_shard(
-    fuzzer: &mut dyn Fuzzer,
-    shard_config: &CampaignConfig,
-    shard: u32,
-    sink: Option<&dyn FindingSink>,
-) -> CampaignResult {
-    let mut rng = StdRng::seed_from_u64(shard_config.seed);
-    let mut stepper = CampaignStepper::new(shard_config);
-    stepper.charge_setup(fuzzer.setup(&mut rng));
-    while let StepOutcome::Ran { recorded_finding } = stepper.step(fuzzer, &mut rng) {
-        if recorded_finding {
-            if let Some(sink) = sink {
-                let finding = stepper.findings().last().expect("finding just recorded");
-                sink.on_finding(shard, finding);
-            }
-        }
-    }
-    let result = stepper.finish(fuzzer.name());
-    if let Some(sink) = sink {
-        sink.on_shard_complete(shard, &result);
-    }
-    result
-}
-
 /// The external-process backend `exec` selects, if any.
-fn pipe_backend_of(exec: &ExecConfig) -> Option<crate::overlap::PipeBackend> {
+fn pipe_backend_of(exec: &ExecConfig) -> Option<PipeBackend> {
     exec.solver_cmd.as_ref().map(|cmd| {
-        let mut backend = crate::overlap::PipeBackend::new(cmd.clone())
+        let mut backend = PipeBackend::new(cmd.clone())
             .with_mode(exec.solver_mode)
             .with_affinity(exec.affinity);
         if let Some(dir) = &exec.cache_dir {
@@ -311,12 +286,12 @@ fn pipe_backend_of(exec: &ExecConfig) -> Option<crate::overlap::PipeBackend> {
 /// — the lease-granular entry point. [`run_campaign_sharded`] drives it
 /// once per shard on its thread pool; a distributed worker process
 /// (`o4a-dist`) calls it once per *lease*, journaling through `sink`.
-/// Either way the shard executes identically, down to the transport the
-/// engine knobs select (serial loop, overlapped in-flight queries, or
-/// external solver processes over pipes), so a shard result is a pure
-/// function of `(config, exec.shards, shard)` — the property that makes
-/// dynamic lease assignment and crash re-issue invisible in merged
-/// results.
+/// Either way the shard executes identically, down to the lane bank the
+/// engine knobs select (the in-process engines, or external solver
+/// processes over pipes with `exec.inflight` cases in flight), so a
+/// shard result is a pure function of `(config, exec.shards, shard)` —
+/// the property that makes dynamic lease assignment and crash re-issue
+/// invisible in merged results.
 ///
 /// # Panics
 ///
@@ -328,18 +303,18 @@ pub fn run_shard_lease(
     shard: u32,
     sink: Option<&dyn FindingSink>,
 ) -> CampaignResult {
+    let backend = pipe_backend_of(exec);
+    let window = match backend {
+        Some(_) => exec.inflight.max(1),
+        None => IN_PROCESS_WINDOW,
+    };
     let _span = o4a_obs::trace::span("exec", "shard.lease")
         .arg("shard", u64::from(shard))
-        .arg("inflight", exec.inflight.max(1) as u64);
+        .arg("inflight", window as u64);
     let cfg = shard_config(config, exec.shards, shard);
-    if let Some(backend) = pipe_backend_of(exec) {
-        // The pipe transport always goes through the overlapped loop;
-        // `inflight = 1` is serial submission over the same plumbing.
-        crate::overlap::run_shard_piped(fuzzer, &cfg, shard, sink, exec.inflight.max(1), &backend)
-    } else if exec.inflight > 1 {
-        crate::overlap::run_shard_overlapped(fuzzer, &cfg, shard, sink, exec.inflight)
-    } else {
-        run_shard(fuzzer, &cfg, shard, sink)
+    match backend {
+        Some(backend) => run_shard_piped(fuzzer, &cfg, shard, sink, window, &backend),
+        None => run_shard(fuzzer, &cfg, shard, sink),
     }
 }
 

@@ -179,7 +179,9 @@ fn torn_trailing_line_does_not_block_resume() {
 /// The pipe backend's "solver process died" findings must be crash-safe:
 /// journaled (write + flush + fsync) the moment the case completes, decoded
 /// back with their external signature intact, and regenerated
-/// deterministically when a kill orphans them before their shard record.
+/// deterministically when a kill orphans them before their shard record —
+/// even when the resumed run keeps a different number of cases in flight.
+/// Findings reach the journal in case order whatever the completion order.
 ///
 /// `true` is the perfect always-dying external solver: it exits before
 /// answering, so every query is an EOF crash with signature
@@ -234,7 +236,8 @@ fn solver_process_died_findings_are_crash_safe_across_kill_resume() {
     );
 
     // Kill/resume: drop shard 1's completion record, orphaning its crash
-    // findings — the re-run must regenerate the identical set.
+    // findings — the re-run, at K = 8 instead of 4, must regenerate the
+    // identical set.
     let truncated: String = journal
         .lines()
         .filter(|line| !(line.contains("\"shard_done\"") && line.contains("\"shard\":1")))
@@ -242,8 +245,17 @@ fn solver_process_died_findings_are_crash_safe_across_kill_resume() {
         .collect();
     let killed_path = journal_path("pipe-crash-killed");
     std::fs::write(&killed_path, truncated).unwrap();
-    let resumed =
-        run_campaign_resumable(factory, &config, &exec, &FindingsStore::new(&killed_path)).unwrap();
+    let exec_k8 = ExecConfig {
+        inflight: 8,
+        ..exec
+    };
+    let resumed = run_campaign_resumable(
+        factory,
+        &config,
+        &exec_k8,
+        &FindingsStore::new(&killed_path),
+    )
+    .unwrap();
     assert_eq!(fingerprint(&journaled), fingerprint(&resumed));
 
     let _ = std::fs::remove_file(&path);

@@ -1,13 +1,12 @@
-//! The acceptance criterion of the async backend: a campaign driven with
-//! `K` overlapped in-flight queries is **bit-identical** to the serial
-//! engine for the same seed, for every `K` — identical `CampaignStats`,
-//! identical findings (hence deduplicated issue sets), identical final
-//! coverage maps, and even identical hourly snapshot series, because
-//! completions are re-sequenced by case index before campaign state sees
-//! them.
+//! The acceptance criterion of the shard loop over in-process lanes: a
+//! shard run through the async lane bank is **bit-identical** to the
+//! serial stepper (`run_campaign`) for the same seed — identical
+//! `CampaignStats`, identical findings (hence deduplicated issue sets),
+//! identical raw and final coverage maps, and identical hourly snapshot
+//! series, raw per-hour maps included. Plus the env-knob parses.
 
 use o4a_core::{dedup, run_campaign, CampaignConfig, CampaignResult, Once4AllFuzzer};
-use o4a_exec::{run_campaign_sharded, run_shard_overlapped, ExecConfig, Parallelism};
+use o4a_exec::{run_shard, ExecConfig};
 use o4a_solvers::coverage::universe;
 use o4a_solvers::SolverId;
 
@@ -24,6 +23,9 @@ fn quick_config() -> CampaignConfig {
 /// percentage bits.
 type SnapshotRow = (u32, u64, usize, Vec<(SolverId, u64, u64)>);
 
+/// Raw per-solver coverage maps, exported by function name.
+type RawMaps = Vec<(SolverId, Vec<(String, u32)>)>;
+
 /// Everything a campaign result observable to experiments contains, in a
 /// directly comparable form. `vhour` is compared through `to_bits` — the
 /// claim is bit-identity, not approximate agreement.
@@ -32,9 +34,10 @@ struct Fingerprint {
     stats: o4a_core::CampaignStats,
     findings: Vec<(String, SolverId, String, Option<String>, u64)>,
     issues: Vec<String>,
-    coverage: Vec<(SolverId, Vec<(String, u32)>)>,
+    coverage: RawMaps,
     final_coverage: Vec<(SolverId, u64, u64)>,
     snapshots: Vec<SnapshotRow>,
+    hourly_coverage: Vec<RawMaps>,
 }
 
 fn fingerprint(result: &CampaignResult) -> Fingerprint {
@@ -86,6 +89,15 @@ fn fingerprint(result: &CampaignResult) -> Fingerprint {
                 )
             })
             .collect(),
+        hourly_coverage: result
+            .hourly_coverage
+            .iter()
+            .map(|maps| {
+                maps.iter()
+                    .map(|(&s, m)| (s, m.export(&universe(s))))
+                    .collect()
+            })
+            .collect(),
     }
 }
 
@@ -94,11 +106,12 @@ fn serial_reference(config: &CampaignConfig) -> CampaignResult {
     run_campaign(&mut fuzzer, config)
 }
 
-/// The tentpole equivalence proof: serial vs. overlapped K ∈ {1, 4, 8}.
+/// The in-process lane bank at its window of one reproduces the serial
+/// stepper bit for bit. Two time scales: the smoke scale, and a coarser
+/// one where a single case can jump a whole virtual hour (the snapshot
+/// boundary case).
 #[test]
-fn overlapped_campaign_is_bit_identical_to_serial_for_all_k() {
-    // Two time scales: the smoke scale, and a coarser one where a single
-    // case can jump a whole virtual hour (the snapshot boundary case).
+fn in_process_shard_is_bit_identical_to_run_campaign() {
     for time_scale in [2_000_000u64, 500_000] {
         let config = CampaignConfig {
             time_scale,
@@ -106,79 +119,28 @@ fn overlapped_campaign_is_bit_identical_to_serial_for_all_k() {
         };
         let reference = fingerprint(&serial_reference(&config));
         assert!(reference.stats.cases > 0, "reference ran no cases");
-        for k in [1usize, 4, 8] {
-            let mut fuzzer = Once4AllFuzzer::with_defaults();
-            let overlapped = run_shard_overlapped(&mut fuzzer, &config, 0, None, k);
-            assert_eq!(
-                fingerprint(&overlapped),
-                reference,
-                "K={k} diverged from serial at time_scale {time_scale}"
-            );
-        }
-    }
-}
-
-/// The speculative-overrun boundary: with K greater than the case cap,
-/// every case beyond the cap is generated speculatively and must be
-/// discarded, not counted.
-#[test]
-fn inflight_window_larger_than_campaign_is_still_identical() {
-    let config = CampaignConfig {
-        max_cases: 5,
-        time_scale: 100_000, // cheap cases: the case cap binds, not hours
-        ..quick_config()
-    };
-    let reference = fingerprint(&serial_reference(&config));
-    assert_eq!(reference.stats.cases, 5);
-    let mut fuzzer = Once4AllFuzzer::with_defaults();
-    let overlapped = run_shard_overlapped(&mut fuzzer, &config, 0, None, 32);
-    assert_eq!(fingerprint(&overlapped), reference);
-}
-
-/// The engine-level knob: a sharded campaign with `inflight = K` merges
-/// to the same result as the serial sharded engine, across worker modes.
-#[test]
-fn sharded_engine_with_inflight_matches_serial_sharded() {
-    let config = quick_config();
-    let factory =
-        |_shard: u32| Box::new(Once4AllFuzzer::with_defaults()) as Box<dyn o4a_core::Fuzzer>;
-    let serial = run_campaign_sharded(
-        factory,
-        &config,
-        &ExecConfig {
-            shards: 4,
-            parallelism: Parallelism::Serial,
-            inflight: 1,
-            ..ExecConfig::default()
-        },
-    );
-    for (k, parallelism) in [(4, Parallelism::Serial), (8, Parallelism::Threads(4))] {
-        let overlapped = run_campaign_sharded(
-            factory,
-            &config,
-            &ExecConfig {
-                shards: 4,
-                parallelism,
-                inflight: k,
-                ..ExecConfig::default()
-            },
+        assert!(
+            !reference.hourly_coverage.is_empty(),
+            "reference recorded no hourly coverage maps"
         );
+        let mut fuzzer = Once4AllFuzzer::with_defaults();
+        let shard = run_shard(&mut fuzzer, &config, 0, None);
         assert_eq!(
-            fingerprint(&overlapped),
-            fingerprint(&serial),
-            "sharded inflight={k} diverged"
+            fingerprint(&shard),
+            reference,
+            "in-process shard diverged from run_campaign at time_scale {time_scale}"
         );
     }
 }
 
-/// `ExecConfig::from_env` is how CI's `O4A_INFLIGHT` matrix reaches the
-/// engine; the default must stay the serial protocol.
+/// `ExecConfig::from_env` is how `O4A_INFLIGHT` reaches the pipe
+/// transport; the default must stay one case in flight.
 #[test]
 fn exec_config_env_default_is_serial() {
     if std::env::var_os("O4A_INFLIGHT").is_none() {
         assert_eq!(ExecConfig::from_env().inflight, 1);
     } else {
-        // Under the CI matrix: the knob must round-trip.
+        // Set in the environment: the knob must round-trip.
         let expect: usize = std::env::var("O4A_INFLIGHT").unwrap().parse().unwrap();
         assert_eq!(ExecConfig::from_env().inflight, expect.max(1));
     }
@@ -200,32 +162,4 @@ fn exec_config_solver_mode_knob_parses() {
     assert_eq!(SolverMode::parse("session"), Some(SolverMode::Session));
     assert_eq!(SolverMode::parse(" SPAWN "), Some(SolverMode::Spawn));
     assert_eq!(SolverMode::parse("both"), None);
-}
-
-/// A campaign routed through the env knob exactly as the production
-/// drivers (`o4a-bench::exec_knob`) are: whatever `O4A_INFLIGHT` the
-/// environment sets — the CI matrix runs the suite at 1 and 8 — the
-/// result must match the serial reference. Shards and workers are pinned
-/// so `O4A_SHARDS`/`O4A_WORKERS` cannot change the comparison.
-#[test]
-fn env_routed_inflight_matches_serial() {
-    let config = quick_config();
-    let reference = fingerprint(&serial_reference(&config));
-    let exec = ExecConfig {
-        shards: 1,
-        parallelism: Parallelism::Serial,
-        inflight: ExecConfig::from_env().inflight,
-        ..ExecConfig::default()
-    };
-    let result = run_campaign_sharded(
-        |_shard| Box::new(Once4AllFuzzer::with_defaults()) as Box<dyn o4a_core::Fuzzer>,
-        &config,
-        &exec,
-    );
-    assert_eq!(
-        fingerprint(&result),
-        reference,
-        "env-routed inflight={} diverged from serial",
-        exec.inflight
-    );
 }

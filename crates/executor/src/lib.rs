@@ -11,11 +11,11 @@
 //!   `Pending` future that scheduled no wake can never progress);
 //! * [`InFlightPool`], a **bounded in-flight queue** of futures polled
 //!   round-robin in submission order. Each full poll round is one *tick*
-//!   of virtual time, which is what makes latency simulation (and
-//!   therefore completion order) deterministic;
+//!   of virtual time, which is what makes tick-driven completion order
+//!   deterministic;
 //! * [`Sequencer`], the re-ordering buffer that turns out-of-order
 //!   completions back into index order — the determinism keystone of the
-//!   overlapped campaign engine in `o4a-exec`;
+//!   shard loop in `o4a-exec`;
 //! * [`FdReactor`], the `poll(2)`-based readiness reactor that extends the
 //!   same machinery to **external solver processes**: futures blocked on a
 //!   child's stdout register their fd, and the pool's idle hook

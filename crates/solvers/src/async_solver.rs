@@ -1,31 +1,28 @@
-//! The asynchronous solver backend: [`AsyncSmtSolver`] plus the
-//! latency-simulating adapter that wraps the in-process engines.
+//! The asynchronous solver backend: [`AsyncSmtSolver`] plus the adapter
+//! that runs the in-process engines as lanes of the same interface.
 //!
-//! A synchronous [`SmtSolver::check`](crate::SmtSolver::check) serializes a
-//! campaign worker on every query; real external solvers (Z3/cvc5 over a
-//! pipe) answer with latency, and one worker should keep many queries in
-//! flight. This module defines the async interface the overlap engine in
-//! `o4a-exec` drives:
+//! A shard worker in `o4a-exec` drives every solver lane through one
+//! loop: cases go into an in-flight pool of [`AsyncSmtSolver`] futures
+//! and completions are re-sequenced by case index before campaign state
+//! sees them. External solvers over pipes ([`crate::PipeSolver`]) answer
+//! with latency, so one worker keeps many of their queries in flight:
 //!
 //! * [`AsyncSmtSolver::check_async`] takes `&self` — one solver instance
 //!   accepts many overlapped queries (interior mutability inside the
-//!   adapter; the executor is single-threaded, so a `RefCell` suffices).
+//!   lane; the executor is single-threaded, so a `RefCell` suffices).
 //! * Every completed check carries its **per-query coverage delta** next
 //!   to the response. Out-of-order completions can then be re-sequenced
 //!   and merged in case order, keeping overlapped campaigns bit-identical
 //!   to serial ones (accumulating inside the solver, as the sync trait
 //!   does, would leak later queries' coverage into earlier snapshots).
-//! * [`LatencySolver`] wraps any [`SmtSolver`](crate::SmtSolver) and
-//!   assigns each query a **seeded virtual latency** ([`LatencyModel`]) in
-//!   executor ticks, so completion order genuinely inverts under overlap —
-//!   the re-sequencing path is exercised, deterministically, with no wall
-//!   clock and no threads.
+//! * [`InProcessSolver`] wraps any [`SmtSolver`](crate::SmtSolver) as a
+//!   lane whose checks compute synchronously and resolve on first poll.
+//!   The engines are CPU-bound on the worker's thread, so overlapping
+//!   them buys nothing: in-process lanes run with a window of one.
 
-use crate::response::{SolverId, SolverResponse};
-use crate::versions::CommitIdx;
-use crate::{CoverageMap, SmtSolver};
-use o4a_executor::ticks;
-use std::cell::{Cell, RefCell};
+use crate::response::SolverId;
+use crate::{CoverageMap, SmtSolver, SolverResponse};
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 
@@ -48,152 +45,45 @@ pub type CheckFuture<'a> = Pin<Box<dyn Future<Output = AsyncCheck> + 'a>>;
 pub trait AsyncSmtSolver {
     /// Which solver this is.
     fn id(&self) -> SolverId;
-    /// The commit the solver was "built" from.
-    fn commit(&self) -> CommitIdx;
     /// Submits a script; the returned future resolves to the response and
     /// the query's coverage delta.
     fn check_async(&self, text: String) -> CheckFuture<'_>;
-    /// Union of the coverage deltas of all *completed* checks.
-    fn coverage(&self) -> CoverageMap;
-    /// Queries submitted so far (completed or still in flight).
-    fn queries_submitted(&self) -> u64;
 }
 
-/// A seeded per-query latency model, in executor poll-round ticks.
+/// An in-process [`SmtSolver`] as an [`AsyncSmtSolver`] lane.
 ///
-/// Query `q`'s delay is a pure hash of `(seed, q)`, so a campaign's
-/// completion schedule is a function of its configuration alone —
-/// reproducible, but scrambled enough that overlapped queries genuinely
-/// complete out of submission order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencyModel {
-    /// Stream seed (derive per solver/shard to decorrelate schedules).
-    pub seed: u64,
-    /// Minimum latency in ticks.
-    pub min_ticks: u64,
-    /// Maximum latency in ticks (inclusive).
-    pub max_ticks: u64,
-}
-
-impl LatencyModel {
-    /// No latency: every check completes on its first poll.
-    pub const ZERO: LatencyModel = LatencyModel {
-        seed: 0,
-        min_ticks: 0,
-        max_ticks: 0,
-    };
-
-    /// A uniform latency in `[min_ticks, max_ticks]` drawn per query from
-    /// `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_ticks < min_ticks`.
-    pub fn uniform(seed: u64, min_ticks: u64, max_ticks: u64) -> LatencyModel {
-        assert!(max_ticks >= min_ticks, "inverted latency range");
-        LatencyModel {
-            seed,
-            min_ticks,
-            max_ticks,
-        }
-    }
-
-    /// The latency, in ticks, of query number `query`.
-    pub fn ticks_for(&self, query: u64) -> u64 {
-        let span = self.max_ticks - self.min_ticks;
-        if span == 0 {
-            return self.min_ticks;
-        }
-        self.min_ticks
-            + splitmix64(self.seed ^ query.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % (span + 1)
-    }
-}
-
-/// SplitMix64 finalizer — the standard seed-expansion hash.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Wraps a synchronous solver as an [`AsyncSmtSolver`] with simulated
-/// per-query latency.
-///
-/// The future sleeps its assigned ticks, then performs the check — so with
-/// `K` futures in flight the *computations* happen in completion order,
-/// exactly as replies from an external solver pool would arrive. The
-/// response is bit-identical to the sync path (latency is executor time,
-/// never charged to the campaign's virtual clock), and each check's
-/// coverage is isolated by resetting the inner solver's map around it.
-pub struct LatencySolver {
+/// Each check resets the solver's coverage, runs the check, records its
+/// wall time in the `core.check_micros` histogram, and resolves on first
+/// poll with the query's coverage delta — exactly what the serial
+/// stepper's `execute_case` does per solver.
+pub struct InProcessSolver {
     inner: RefCell<Box<dyn SmtSolver>>,
-    cumulative: RefCell<CoverageMap>,
-    latency: LatencyModel,
-    submitted: Cell<u64>,
     id: SolverId,
-    commit: CommitIdx,
 }
 
-impl LatencySolver {
-    /// Wraps `inner` with a latency model. Any coverage the inner solver
-    /// already accumulated is folded into the cumulative union.
-    pub fn new(inner: Box<dyn SmtSolver>, latency: LatencyModel) -> LatencySolver {
-        let id = inner.id();
-        let commit = inner.commit();
-        let cumulative = inner.coverage().clone();
-        LatencySolver {
+impl InProcessSolver {
+    /// Wraps `inner` as a lane.
+    pub fn new(inner: Box<dyn SmtSolver>) -> InProcessSolver {
+        InProcessSolver {
+            id: inner.id(),
             inner: RefCell::new(inner),
-            cumulative: RefCell::new(cumulative),
-            latency,
-            submitted: Cell::new(0),
-            id,
-            commit,
         }
     }
-
-    /// The latency model queries are scheduled under.
-    pub fn latency(&self) -> LatencyModel {
-        self.latency
-    }
-
-    /// Convenience: submits and drives one check to completion on the
-    /// calling thread (the `K = 1` degenerate case).
-    pub fn check_blocking(&self, text: &str) -> AsyncCheck {
-        o4a_executor::block_on(self.check_async(text.to_string()))
-    }
 }
 
-impl AsyncSmtSolver for LatencySolver {
+impl AsyncSmtSolver for InProcessSolver {
     fn id(&self) -> SolverId {
         self.id
     }
 
-    fn commit(&self) -> CommitIdx {
-        self.commit
-    }
-
     fn check_async(&self, text: String) -> CheckFuture<'_> {
-        let query = self.submitted.get();
-        self.submitted.set(query + 1);
-        let delay = self.latency.ticks_for(query);
-        Box::pin(async move {
-            ticks(delay).await;
-            let mut inner = self.inner.borrow_mut();
-            inner.reset_coverage();
-            let response = inner.check(&text);
-            let coverage = inner.coverage().clone();
-            self.cumulative.borrow_mut().merge(&coverage);
-            AsyncCheck { response, coverage }
-        })
-    }
-
-    fn coverage(&self) -> CoverageMap {
-        self.cumulative.borrow().clone()
-    }
-
-    fn queries_submitted(&self) -> u64 {
-        self.submitted.get()
+        let mut inner = self.inner.borrow_mut();
+        inner.reset_coverage();
+        let timer = o4a_obs::metrics::start_timer();
+        let response = inner.check(&text);
+        o4a_obs::metrics::record_elapsed("core.check_micros", timer);
+        let coverage = inner.coverage().clone();
+        Box::pin(std::future::ready(AsyncCheck { response, coverage }))
     }
 }
 
@@ -207,26 +97,13 @@ mod tests {
     const UNSAT: &str = "(declare-const p Bool)(assert (and p (not p)))(check-sat)";
 
     #[test]
-    fn latency_model_is_deterministic_and_bounded() {
-        let m = LatencyModel::uniform(0xfeed, 2, 9);
-        let a: Vec<u64> = (0..64).map(|q| m.ticks_for(q)).collect();
-        let b: Vec<u64> = (0..64).map(|q| m.ticks_for(q)).collect();
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&t| (2..=9).contains(&t)));
-        // The schedule actually varies (otherwise overlap never inverts).
-        assert!(a.iter().any(|&t| t != a[0]));
-        assert_eq!(LatencyModel::ZERO.ticks_for(7), 0);
-    }
-
-    #[test]
     fn async_response_matches_sync_response() {
         for id in SolverId::ALL {
             for text in [SAT, UNSAT] {
                 let mut sync = solver_at(id, TRUNK_COMMIT);
                 let expected = sync.check(text);
-                let solver =
-                    LatencySolver::new(solver_at(id, TRUNK_COMMIT), LatencyModel::uniform(1, 0, 5));
-                let got = solver.check_blocking(text);
+                let solver = InProcessSolver::new(solver_at(id, TRUNK_COMMIT));
+                let got = block_on(solver.check_async(text.to_string()));
                 assert_eq!(got.response, expected, "{id} diverged on {text}");
             }
         }
@@ -234,10 +111,7 @@ mod tests {
 
     #[test]
     fn overlapped_checks_share_one_solver() {
-        let solver = LatencySolver::new(
-            solver_at(SolverId::OxiZ, TRUNK_COMMIT),
-            LatencyModel::uniform(42, 0, 12),
-        );
+        let solver = InProcessSolver::new(solver_at(SolverId::OxiZ, TRUNK_COMMIT));
         let texts = [SAT, UNSAT, SAT, UNSAT];
         let mut pool = InFlightPool::new(texts.len());
         for (i, text) in texts.iter().enumerate() {
@@ -257,7 +131,6 @@ mod tests {
             outcomes,
             vec![Outcome::Sat, Outcome::Unsat, Outcome::Sat, Outcome::Unsat]
         );
-        assert_eq!(solver.queries_submitted(), 4);
     }
 
     #[test]
@@ -267,10 +140,7 @@ mod tests {
         for t in texts {
             sync.check(t);
         }
-        let solver = LatencySolver::new(
-            solver_at(SolverId::Cervo, TRUNK_COMMIT),
-            LatencyModel::uniform(7, 0, 9),
-        );
+        let solver = InProcessSolver::new(solver_at(SolverId::Cervo, TRUNK_COMMIT));
         let mut delta_union = CoverageMap::new();
         for t in texts {
             let check = block_on(solver.check_async(t.to_string()));
@@ -278,6 +148,5 @@ mod tests {
         }
         let u = crate::coverage::universe(SolverId::Cervo);
         assert_eq!(delta_union.export(&u), sync.coverage().export(&u));
-        assert_eq!(solver.coverage().export(&u), sync.coverage().export(&u));
     }
 }

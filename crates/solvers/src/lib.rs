@@ -39,7 +39,7 @@ pub mod pipe;
 mod response;
 pub mod versions;
 
-pub use async_solver::{AsyncCheck, AsyncSmtSolver, CheckFuture, LatencyModel, LatencySolver};
+pub use async_solver::{AsyncCheck, AsyncSmtSolver, CheckFuture, InProcessSolver};
 pub use cervo::Cervo;
 pub use coverage::{CoverageMap, Universe};
 pub use features::FormulaFeatures;

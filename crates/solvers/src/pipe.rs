@@ -41,7 +41,7 @@
 //! documented in `crates/solvers/README.md`; the [`mock`] module holds
 //! the deterministic reply logic the mock binary serves.
 
-use crate::async_solver::{splitmix64, AsyncCheck, AsyncSmtSolver, CheckFuture};
+use crate::async_solver::{AsyncCheck, AsyncSmtSolver, CheckFuture};
 use crate::coverage::{universe, Universe};
 use crate::response::{CrashInfo, CrashKind, Outcome, SolveStats, SolverId, SolverResponse};
 use crate::versions::CommitIdx;
@@ -539,7 +539,6 @@ pub struct PipeSolver {
     affinity: bool,
     empty_coverage: CoverageMap,
     universe: Universe,
-    submitted: Cell<u64>,
     spawned: Cell<u64>,
     respawns: Cell<u64>,
     scopes: Cell<u64>,
@@ -578,7 +577,6 @@ impl PipeSolver {
             affinity: false,
             empty_coverage: CoverageMap::new(),
             universe: universe(id),
-            submitted: Cell::new(0),
             spawned: Cell::new(0),
             respawns: Cell::new(0),
             scopes: Cell::new(0),
@@ -1522,12 +1520,7 @@ impl AsyncSmtSolver for PipeSolver {
         self.id
     }
 
-    fn commit(&self) -> CommitIdx {
-        self.commit
-    }
-
     fn check_async(&self, text: String) -> CheckFuture<'_> {
-        self.submitted.set(self.submitted.get() + 1);
         Box::pin(async move {
             let response = self.run_query(&text).await;
             AsyncCheck {
@@ -1535,14 +1528,6 @@ impl AsyncSmtSolver for PipeSolver {
                 coverage: CoverageMap::new(),
             }
         })
-    }
-
-    fn coverage(&self) -> CoverageMap {
-        CoverageMap::new()
-    }
-
-    fn queries_submitted(&self) -> u64 {
-        self.submitted.get()
     }
 }
 
@@ -1572,6 +1557,14 @@ impl SmtSolver for PipeSolver {
     }
 
     fn reset_coverage(&mut self) {}
+}
+
+/// SplitMix64 finalizer — the standard seed-expansion hash.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 // -------------------------------------------------------------------- mock

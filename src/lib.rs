@@ -15,9 +15,10 @@
 //! * [`baselines`] — the eight comparison fuzzers.
 //! * [`reduce`] — the ddSMT-style delta debugger.
 //! * [`exec`] — the sharded parallel campaign engine with mergeable
-//!   coverage, a resumable findings store, overlapped in-flight solver
-//!   queries, and the pipe transport for **external solver processes**
-//!   (`O4A_SOLVER_CMD`: real Z3/cvc5 binaries or the deterministic mock).
+//!   coverage, a resumable findings store, one shard loop over a bank of
+//!   solver lanes, and the pipe transport for **external solver
+//!   processes** (`O4A_SOLVER_CMD`: real Z3/cvc5 binaries or the
+//!   deterministic mock) with `O4A_INFLIGHT` queries in flight.
 //! * [`executor`] — the tokio-free single-threaded poll-loop executor
 //!   (hand-rolled waker, bounded in-flight pool, completion re-sequencer,
 //!   `poll(2)` fd reactor) behind the async solver backend.
