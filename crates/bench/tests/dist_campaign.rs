@@ -32,6 +32,9 @@ const WORKER: &str = env!("CARGO_BIN_EXE_dist_worker");
 /// does — that is what makes every run comparable bit-for-bit.
 const SHARDS: u32 = 4;
 
+/// Wall-clock pacing per case in crash-injection runs, in milliseconds.
+const CRASH_PACE_MS: u64 = 250;
+
 fn quick_config() -> CampaignConfig {
     CampaignConfig {
         virtual_hours: 2,
@@ -105,8 +108,15 @@ fn dist_run(tag: &str, workers: u32, crash: bool) -> DistReport {
     if crash {
         // Die mid-way through shard 2 (which runs ~7 cases and records
         // findings at this scale), once per campaign — the token's
-        // atomic creation is the latch.
+        // atomic creation is the latch. Every case is paced by a
+        // wall-clock sleep (`--slow-ms`, invisible to the results) so the
+        // crash lands while the other shards (8-9 cases each) still have
+        // at least four paced cases to go: the re-issued lease then finds
+        // no idle survivor and goes to a replacement worker. The margin
+        // is about a second of sleep, far wider than scheduling jitter.
         command.extend([
+            "--slow-ms".into(),
+            CRASH_PACE_MS.to_string(),
             "--crash-shard".into(),
             "2".into(),
             "--crash-after".into(),

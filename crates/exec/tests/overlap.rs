@@ -3,10 +3,11 @@
 //! serial stepper (`run_campaign`) for the same seed — identical
 //! `CampaignStats`, identical findings (hence deduplicated issue sets),
 //! identical raw and final coverage maps, and identical hourly snapshot
-//! series, raw per-hour maps included. Plus the env-knob parses.
+//! series, raw per-hour maps included. Plus the window-wider-than-the-
+//! campaign boundary and the env-knob parses.
 
 use o4a_core::{dedup, run_campaign, CampaignConfig, CampaignResult, Once4AllFuzzer};
-use o4a_exec::{run_shard, ExecConfig};
+use o4a_exec::{run_campaign_sharded, run_shard, ExecConfig, Parallelism};
 use o4a_solvers::coverage::universe;
 use o4a_solvers::SolverId;
 
@@ -131,6 +132,32 @@ fn in_process_shard_is_bit_identical_to_run_campaign() {
             "in-process shard diverged from run_campaign at time_scale {time_scale}"
         );
     }
+}
+
+/// The speculative-overrun boundary on the in-process path: an engine
+/// asked for a window of 32 on a five-case campaign runs its in-process
+/// lanes at their fixed window of one, so no case past the cap is
+/// generated, counted or journaled, and the result is the serial one.
+#[test]
+fn inflight_window_larger_than_campaign_is_still_identical() {
+    let config = CampaignConfig {
+        max_cases: 5,
+        time_scale: 100_000, // cheap cases: the case cap binds, not hours
+        ..quick_config()
+    };
+    let reference = fingerprint(&serial_reference(&config));
+    assert_eq!(reference.stats.cases, 5);
+    let wide = run_campaign_sharded(
+        |_shard| Box::new(Once4AllFuzzer::with_defaults()) as Box<dyn o4a_core::Fuzzer>,
+        &config,
+        &ExecConfig {
+            shards: 1,
+            parallelism: Parallelism::Serial,
+            inflight: 32,
+            ..ExecConfig::default()
+        },
+    );
+    assert_eq!(fingerprint(&wide), reference);
 }
 
 /// `ExecConfig::from_env` is how `O4A_INFLIGHT` reaches the pipe

@@ -154,6 +154,84 @@ fn one_shard_engine_matches_serial_campaign() {
     }
 }
 
+/// Kill/resume with the in-flight knob changed in between: a journaled
+/// campaign configured for `inflight = 4`, killed with shards 2 and 3
+/// mid-flight and resumed at `inflight = 8`, must converge to the same
+/// deduplicated issue set as the serial engine. In-process lanes run at
+/// their fixed window of one whatever the knob says, so the knob must
+/// leak into neither the journal nor the resumed merge.
+#[test]
+fn killed_overlapped_campaign_resumes_to_serial_issue_set() {
+    let config = quick_config();
+    let serial = run_campaign_sharded(
+        factory,
+        &config,
+        &ExecConfig {
+            shards: 4,
+            parallelism: Parallelism::Serial,
+            inflight: 1,
+            ..ExecConfig::default()
+        },
+    );
+
+    // Journaled run at K = 4, serial workers for a stable journal line
+    // order.
+    let mut path = std::env::temp_dir();
+    path.push(format!("o4a-sharding-overlap-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let exec_k4 = ExecConfig {
+        shards: 4,
+        parallelism: Parallelism::Serial,
+        inflight: 4,
+        ..ExecConfig::default()
+    };
+    let full = run_campaign_resumable(factory, &config, &exec_k4, &FindingsStore::new(&path))
+        .expect("journal I/O");
+    assert_eq!(fingerprint(&full), fingerprint(&serial));
+
+    // Simulate a SIGKILL that caught shards 2 and 3 mid-flight: drop
+    // their completion records (and shard 3's findings entirely).
+    let journal = std::fs::read_to_string(&path).unwrap();
+    let truncated: String = journal
+        .lines()
+        .filter(|line| {
+            if line.contains("\"shard_done\"") {
+                line.contains("\"shard\":0") || line.contains("\"shard\":1")
+            } else if line.contains("\"finding\"") {
+                !line.contains("\"shard\":3")
+            } else {
+                true // header
+            }
+        })
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    let mut killed = std::env::temp_dir();
+    killed.push(format!(
+        "o4a-sharding-overlap-killed-{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(&killed, truncated).unwrap();
+
+    // Resume at K = 8: shards 0-1 load, shards 2-3 re-run — and the
+    // merged result still matches serial.
+    let exec_k8 = ExecConfig {
+        inflight: 8,
+        ..exec_k4
+    };
+    let resumed = run_campaign_resumable(factory, &config, &exec_k8, &FindingsStore::new(&killed))
+        .expect("journal I/O");
+    assert_eq!(fingerprint(&resumed), fingerprint(&serial));
+    assert_eq!(
+        dedup(&resumed.findings).len(),
+        dedup(&serial.findings).len(),
+        "deduplicated issue sets diverged across kill/resume"
+    );
+    assert_eq!(resumed.final_coverage, serial.final_coverage);
+
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&killed);
+}
+
 /// The hourly series, bit-comparable: per hour, the per-solver coverage
 /// percentages' exact float bits.
 fn cov_series(result: &o4a_core::CampaignResult) -> Vec<Vec<(SolverId, u64, u64)>> {
