@@ -198,6 +198,50 @@ fn four_workers_with_crash_mid_lease_are_bit_identical() {
     assert!(crashed.stats.workers_spawned >= 5);
 }
 
+/// Under a static split, a worker that dies holding a shard is replaced
+/// by one that inherits its slot, so the re-issued shard — pinned to
+/// that slot — is granted again even while the survivor on the other
+/// slot sits idle. Without that the campaign never finishes; the
+/// test-side timeout turns such a stall into a failure.
+#[test]
+fn static_split_reissues_a_dead_workers_shard() {
+    let reference = in_process_reference();
+    let dir = scratch_dir("static");
+    let command = vec![
+        WORKER.to_string(),
+        "--crash-shard".into(),
+        "1".into(),
+        "--crash-after".into(),
+        "2".into(),
+        "--crash-token".into(),
+        dir.join("crash-token").display().to_string(),
+    ];
+    let dist = DistConfig::new(command, dir.join("journals"))
+        .with_workers(2)
+        .with_heartbeat_timeout(Duration::from_secs(30))
+        .with_static_split(true);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let campaign = std::thread::spawn(move || {
+        let _ = tx.send(run_distributed(&quick_config(), SHARDS, &dist));
+    });
+    let report = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("static-split campaign stalled after a worker death")
+        .expect("static-split campaign");
+    campaign.join().expect("campaign thread");
+    assert!(
+        report.stats.worker_deaths >= 1,
+        "crash injection never fired"
+    );
+    assert!(report.stats.leases_reissued >= 1);
+    assert_eq!(
+        fingerprint(&report.result),
+        fingerprint(&reference),
+        "a static-split fleet with a dead worker diverged from the in-process engine"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Fleet-size sweep (the CI matrix reads the size from the
 /// environment): any number of workers, with or without crash
 /// injection, merges to the same campaign.

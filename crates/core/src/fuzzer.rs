@@ -12,6 +12,7 @@ use o4a_smtlib::{ArenaScript, Script, TermArena};
 use o4a_solvers::{Frontend, SolverId};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One generated test case: SMT-LIB text plus the virtual cost of
 /// producing it (LLM-per-input fuzzers are expensive here; Once4All is
@@ -31,6 +32,11 @@ pub trait Fuzzer {
     fn name(&self) -> String;
     /// One-time setup; returns virtual microseconds consumed (e.g. the LLM
     /// generator-construction investment).
+    ///
+    /// [`Once4AllFuzzer`] builds its generators once per process per
+    /// [`LlmProfile`]: later setups with an equal profile reuse that
+    /// construction and return the same virtual cost, so every campaign
+    /// is charged the investment exactly as if it had paid it itself.
     fn setup(&mut self, rng: &mut StdRng) -> u64 {
         let _ = rng;
         0
@@ -90,13 +96,19 @@ impl Default for Once4AllConfig {
     }
 }
 
+/// Generator constructions made in this process, keyed by the whole
+/// profile (the ablation profiles differ from GPT-4's in more than their
+/// kind). See [`Once4AllFuzzer::new`] for why sharing them is exact.
+static CONSTRUCTIONS: Mutex<Vec<(LlmProfile, Arc<ConstructionReport>)>> = Mutex::new(Vec::new());
+
 /// The Once4All fuzzer: skeleton-guided mutation with LLM-synthesized
 /// generators.
 pub struct Once4AllFuzzer {
     config: Once4AllConfig,
     seeds: Vec<Script>,
-    generators: Vec<CorrectedGenerator>,
-    construction: Option<ConstructionReport>,
+    /// The generators, shared with every fuzzer of this process that has
+    /// the same profile (set by [`Fuzzer::setup`]).
+    construction: Option<Arc<ConstructionReport>>,
     /// The per-fuzzer term arena; reset whenever a fresh seed is loaded.
     arena: TermArena,
     current: Option<ArenaScript>,
@@ -112,11 +124,18 @@ pub struct Once4AllFuzzer {
 impl Once4AllFuzzer {
     /// Creates the fuzzer with a configuration; generators are synthesized
     /// in [`Fuzzer::setup`].
+    ///
+    /// Synthesis (Algorithm 1) runs once per process per profile and is
+    /// shared by every later fuzzer with an equal [`LlmProfile`]. That is
+    /// deterministic-safe because construction is a pure function of the
+    /// profile: the simulated LLM seeds from `profile.seed`, the corpus is
+    /// static, the frontend validators keep no state between calls, and
+    /// `setup` draws nothing from its RNG. A reused construction is
+    /// therefore equal to a fresh one, virtual cost included.
     pub fn new(config: Once4AllConfig) -> Once4AllFuzzer {
         Once4AllFuzzer {
             config,
             seeds: parsed_seeds(),
-            generators: Vec::new(),
             construction: None,
             arena: TermArena::new(),
             current: None,
@@ -135,7 +154,14 @@ impl Once4AllFuzzer {
 
     /// The construction-phase report (after setup).
     pub fn construction_report(&self) -> Option<&ConstructionReport> {
-        self.construction.as_ref()
+        self.construction.as_deref()
+    }
+
+    /// The corrected generators (empty before setup).
+    fn generators(&self) -> &[CorrectedGenerator] {
+        self.construction
+            .as_deref()
+            .map_or(&[], |report| &report.generators)
     }
 
     /// Fraction of generator samples that were invalid during fuzzing.
@@ -159,16 +185,17 @@ impl Once4AllFuzzer {
         focus: Option<usize>,
         rng: &mut StdRng,
     ) -> Result<ArenaFill, String> {
-        if self.generators.is_empty() {
+        let count = self.generators().len();
+        if count == 0 {
             return Err("no generators constructed".into());
         }
         let gi = match focus {
             Some(g) if rng.gen_bool(0.7) => g,
-            _ => rng.gen_range(0..self.generators.len()),
+            _ => rng.gen_range(0..count),
         };
         let mut sample_rng = StdRng::from_rng_seed(rng.gen());
         self.total_fills += 1;
-        let raw = self.generators[gi]
+        let raw = self.generators()[gi]
             .program
             .generate(&mut sample_rng)
             .map_err(|e| e.to_string())?;
@@ -245,19 +272,31 @@ impl Fuzzer for Once4AllFuzzer {
     }
 
     fn setup(&mut self, _rng: &mut StdRng) -> u64 {
-        let mut llm = SimulatedLlm::new(self.config.profile.clone());
-        let docs = o4a_llm::corpus::corpus();
-        let mut validators: Vec<Box<dyn Validator>> = vec![
-            Box::new(FrontendValidator::new(SolverId::OxiZ)),
-            Box::new(FrontendValidator::new(SolverId::Cervo)),
-        ];
-        let report = construct_generators(
-            &mut llm,
-            &docs,
-            &mut validators,
-            ConstructOptions::default(),
-        );
-        self.generators = report.generators.clone();
+        // Held across construction, so concurrent setups build once and
+        // the rest wait for that result. The memo changes only by a push
+        // after construction, so a lock poisoned mid-construction still
+        // guards a valid memo.
+        let mut memo = CONSTRUCTIONS.lock().unwrap_or_else(PoisonError::into_inner);
+        let profile = &self.config.profile;
+        let report = match memo.iter().find(|(p, _)| p == profile) {
+            Some((_, report)) => Arc::clone(report),
+            None => {
+                let mut llm = SimulatedLlm::new(profile.clone());
+                let docs = o4a_llm::corpus::corpus();
+                let mut validators: Vec<Box<dyn Validator>> = vec![
+                    Box::new(FrontendValidator::new(SolverId::OxiZ)),
+                    Box::new(FrontendValidator::new(SolverId::Cervo)),
+                ];
+                let report = Arc::new(construct_generators(
+                    &mut llm,
+                    &docs,
+                    &mut validators,
+                    ConstructOptions::default(),
+                ));
+                memo.push((profile.clone(), Arc::clone(&report)));
+                report
+            }
+        };
         let cost = report.total_llm_micros;
         self.construction = Some(report);
         cost
@@ -289,11 +328,8 @@ impl Fuzzer for Once4AllFuzzer {
             let skeleton: ArenaSkeleton =
                 skeletonize_arena(&seed, &mut self.arena, self.config.skeleton, rng);
             let n_fills = rng.gen_range(1..=self.config.max_fills.max(1));
-            let focus = if self.generators.is_empty() {
-                None
-            } else {
-                Some(rng.gen_range(0..self.generators.len()))
-            };
+            let count = self.generators().len();
+            let focus = (count > 0).then(|| rng.gen_range(0..count));
             let mut fills = Vec::new();
             for _ in 0..n_fills {
                 if let Ok(f) = self.draw_fill_from(focus, rng) {
@@ -417,6 +453,83 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(make(), make());
+    }
+
+    /// Algorithm 1 run directly, without the memo, as `setup` runs it.
+    fn direct_construction(profile: LlmProfile) -> ConstructionReport {
+        let mut llm = SimulatedLlm::new(profile);
+        let mut validators: Vec<Box<dyn Validator>> = vec![
+            Box::new(FrontendValidator::new(SolverId::OxiZ)),
+            Box::new(FrontendValidator::new(SolverId::Cervo)),
+        ];
+        construct_generators(
+            &mut llm,
+            &o4a_llm::corpus::corpus(),
+            &mut validators,
+            ConstructOptions::default(),
+        )
+    }
+
+    fn first_cases(f: &mut Once4AllFuzzer, n: usize) -> Vec<String> {
+        let mut rng = StdRng::seed_from_u64(21);
+        (0..n).map(|_| f.next_case(&mut rng).text).collect()
+    }
+
+    #[test]
+    fn memoized_setup_equals_direct_construction() {
+        let direct = direct_construction(LlmProfile::gpt4());
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut first = Once4AllFuzzer::with_defaults();
+        let mut second = Once4AllFuzzer::with_defaults();
+        assert_eq!(first.setup(&mut rng), direct.total_llm_micros);
+        assert_eq!(second.setup(&mut rng), direct.total_llm_micros);
+        assert_eq!(first.generators(), &direct.generators[..]);
+        assert_eq!(second.generators(), &direct.generators[..]);
+        // A fuzzer over a fresh construction emits the same cases as the
+        // ones over the shared one.
+        let mut fresh = Once4AllFuzzer::with_defaults();
+        fresh.construction = Some(Arc::new(direct));
+        let expected = first_cases(&mut fresh, 50);
+        assert_eq!(first_cases(&mut first, 50), expected);
+        assert_eq!(first_cases(&mut second, 50), expected);
+    }
+
+    #[test]
+    fn memo_keys_on_the_whole_profile() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut gpt4 = Once4AllFuzzer::with_defaults();
+        gpt4.setup(&mut rng);
+        let mut gemini = Once4AllFuzzer::new(Once4AllConfig {
+            profile: LlmProfile::gemini(),
+            ..Once4AllConfig::default()
+        });
+        let cost = gemini.setup(&mut rng);
+        let report = gemini.construction_report().expect("set up");
+        assert_eq!(*report, direct_construction(LlmProfile::gemini()));
+        assert_eq!(cost, report.total_llm_micros);
+        assert_ne!(Some(report), gpt4.construction_report());
+    }
+
+    #[test]
+    fn concurrent_setups_share_one_construction() {
+        let barrier = std::sync::Barrier::new(4);
+        let reports: Vec<Arc<ConstructionReport>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut f = Once4AllFuzzer::with_defaults();
+                        barrier.wait();
+                        f.setup(&mut StdRng::seed_from_u64(1));
+                        f.construction.expect("set up")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("setup thread"))
+                .collect()
+        });
+        assert!(reports.iter().all(|r| Arc::ptr_eq(r, &reports[0])));
     }
 
     #[test]

@@ -115,9 +115,10 @@ pub struct DistConfig {
     /// exactly the pre-checkpoint behavior.
     pub checkpoint: Option<PathBuf>,
     /// Disables work stealing: shard `s` may only be granted to fleet
-    /// slot `s % workers` (spawn order over pipes, join order over
-    /// TCP). A benchmarking knob — the heterogeneous-fleet gauntlet
-    /// measures stealing against exactly this.
+    /// slot `s % workers` (over pipes the lowest free slot at spawn, so a
+    /// replacement inherits a dead worker's; join order over TCP). A
+    /// benchmarking knob — the heterogeneous-fleet gauntlet measures
+    /// stealing against exactly this.
     pub static_split: bool,
     /// TCP only: how long the coordinator waits with **zero** connected
     /// workers and work remaining before declaring the campaign
@@ -396,8 +397,9 @@ struct Worker {
     greeted: bool,
     /// Received a voluntary `goodbye` — retire cleanly.
     left: bool,
-    /// Fleet slot for [`DistConfig::static_split`]: spawn sequence over
-    /// pipes, join sequence over TCP.
+    /// Fleet slot for [`DistConfig::static_split`]: over pipes the lowest
+    /// slot no live worker holds at spawn (a replacement inherits the
+    /// dead worker's), join sequence over TCP.
     slot: u32,
     lease: Option<u32>,
     /// Cases executed across *completed* leases (what the summary
@@ -458,7 +460,7 @@ impl Worker {
     }
 }
 
-fn spawn_worker(dist: &DistConfig, id: u32) -> io::Result<Worker> {
+fn spawn_worker(dist: &DistConfig, id: u32, slot: u32) -> io::Result<Worker> {
     let journal = dist.journal_dir.join(format!("worker-{id}.jsonl"));
     // The coordinator owns the journal dir: a stale file under an
     // assigned name would resume a previous campaign (or refuse a
@@ -496,7 +498,7 @@ fn spawn_worker(dist: &DistConfig, id: u32) -> io::Result<Worker> {
         journal: Some(journal),
         greeted: true,
         left: false,
-        slot: id,
+        slot,
         lease: None,
         cases: 0,
         lease_cases: 0,
@@ -1182,8 +1184,21 @@ fn drive_fleet(
 
         match listener {
             // Pipes: top the fleet back up while unassigned work remains.
+            // Under a static split an idle worker absorbs only the
+            // shards pinned to its slot, so only those idle workers count.
             None => loop {
-                let idle = live.iter().filter(|w| w.lease.is_none()).count();
+                let divisor = dist.workers.max(1);
+                let takes = |w: &Worker| {
+                    !dist.static_split
+                        || state
+                            .pending
+                            .iter()
+                            .any(|&s| s % divisor == w.slot % divisor)
+                };
+                let idle = live
+                    .iter()
+                    .filter(|w| w.lease.is_none() && takes(w))
+                    .count();
                 if idle >= state.pending.len() || live.len() >= dist.workers as usize {
                     break;
                 }
@@ -1195,7 +1210,10 @@ fn drive_fleet(
                         shards
                     )));
                 }
-                let worker = spawn_worker(dist, state.spawn_seq)?;
+                let slot = (0..divisor)
+                    .find(|&slot| live.iter().all(|w| w.slot % divisor != slot))
+                    .expect("a fleet below strength has a free slot");
+                let worker = spawn_worker(dist, state.spawn_seq, slot)?;
                 state.track_journal(
                     worker.id,
                     worker.journal.clone().expect("pipe worker has a journal"),

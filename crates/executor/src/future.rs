@@ -1,12 +1,12 @@
-//! Virtual-time primitive futures.
+//! Poll-round sleeps for the executor's own tests.
 //!
 //! The executor has no clock; its unit of time is the *poll round*. A
-//! [`Ticks`] future therefore "sleeps" by surviving `n` polls, waking
-//! itself each time so the poll loop keeps scheduling it. Under
+//! [`Ticks`] future "sleeps" by surviving `n` polls, waking itself each
+//! time so the poll loop keeps scheduling it. Under
 //! [`crate::InFlightPool`] — which polls every runnable task exactly once
 //! per round — `ticks(n)` completes on the pool's `n`-th round after
-//! submission, which is what makes simulated latencies (and the completion
-//! order they induce) fully deterministic.
+//! submission, which is how the pool tests stage out-of-order completions
+//! deterministically.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -14,18 +14,18 @@ use std::task::{Context, Poll};
 
 /// A future that completes after being polled `n` more times.
 #[derive(Debug)]
-pub struct Ticks {
+pub(crate) struct Ticks {
     remaining: u64,
 }
 
 /// Sleeps for `n` poll rounds of virtual time (`ticks(0)` is ready
 /// immediately).
-pub fn ticks(n: u64) -> Ticks {
+pub(crate) fn ticks(n: u64) -> Ticks {
     Ticks { remaining: n }
 }
 
 /// Yields once: reschedules the task and completes on the next poll.
-pub fn yield_now() -> Ticks {
+pub(crate) fn yield_now() -> Ticks {
     ticks(1)
 }
 

@@ -10,9 +10,9 @@
 //!   detector: on a single thread with no external event sources, a
 //!   `Pending` future that scheduled no wake can never progress);
 //! * [`InFlightPool`], a **bounded in-flight queue** of futures polled
-//!   round-robin in submission order. Each full poll round is one *tick*
-//!   of virtual time, which is what makes tick-driven completion order
-//!   deterministic;
+//!   round-robin in submission order. Each full poll round is one step of
+//!   the pool's clock, so completion order is a function of how many
+//!   rounds each task stays pending;
 //! * [`Sequencer`], the re-ordering buffer that turns out-of-order
 //!   completions back into index order — the determinism keystone of the
 //!   shard loop in `o4a-exec`;
@@ -24,21 +24,23 @@
 //!   passes.
 //!
 //! ```
-//! use o4a_executor::{block_on, ticks, InFlightPool, Sequencer};
+//! use o4a_executor::{InFlightPool, Sequencer};
 //!
-//! // Three tasks with inverted latencies complete out of order...
+//! // Three index-tagged tasks, each ready on its first poll (the way an
+//! // in-process solver check resolves)...
 //! let mut pool: InFlightPool<u64> = InFlightPool::new(3);
 //! for i in 0..3u64 {
-//!     pool.submit(i, async move {
-//!         ticks(10 - i).await;
-//!         i * 100
-//!     });
+//!     pool.submit(i, async move { i * 100 });
 //! }
-//! // ...and the sequencer hands them back in index order.
+//! let done = pool.wait_any();
+//! assert_eq!(done.len(), 3, "all three resolve in one round");
+//! // ...and in whatever order completions arrive, the sequencer
+//! // releases them in dense index order.
 //! let mut seq = Sequencer::new();
-//! while !pool.is_empty() {
-//!     for (index, value) in pool.wait_any() {
-//!         seq.push(index, value);
+//! for (index, value) in done.into_iter().rev() {
+//!     seq.push(index, value);
+//!     if index == 2 {
+//!         assert_eq!(seq.pop(), None, "index 2 waits for 0 and 1");
 //!     }
 //! }
 //! let drained: Vec<(u64, u64)> = std::iter::from_fn(|| seq.pop()).collect();
@@ -47,12 +49,12 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
 mod future;
 mod pool;
 mod reactor;
 mod waker;
 
-pub use future::{ticks, yield_now, Ticks};
 pub use pool::{InFlightPool, Sequencer};
 pub use reactor::{
     flush_outbuf, read_available, readable, set_nonblocking, writable, write_available, FdReactor,

@@ -19,9 +19,9 @@ struct Slot<'a, T> {
 /// tags each with a caller-chosen index that is handed back on completion
 /// (feed it to a [`Sequencer`] to restore submission order). One
 /// [`InFlightPool::poll_round`] polls every *runnable* task once, in
-/// submission order — a full round is one tick of virtual time, so
-/// [`crate::ticks`]-based latencies resolve deterministically regardless
-/// of how work interleaves.
+/// submission order — a full round is one step of the pool's clock, so
+/// a task that stays pending for a fixed number of rounds completes at
+/// the same point regardless of how work interleaves.
 pub struct InFlightPool<'a, T> {
     capacity: usize,
     slots: Vec<Slot<'a, T>>,

@@ -1,11 +1,11 @@
 //! The fd-readiness reactor: `poll(2)` over child-process pipes and
 //! sockets.
 //!
-//! The executor's only event sources so far were self-waking futures
-//! ([`crate::ticks`]); external solver processes add a second kind: a
-//! future that cannot progress until a child's stdout has bytes. Busy-wait
-//! polling would burn a core per shard worker, so the reactor turns fd
-//! readiness into wakes:
+//! Without it the executor's only event sources are self-waking futures
+//! (a future that wakes itself before returning `Pending`); external
+//! solver processes add a second kind: a future that cannot progress
+//! until a child's stdout has bytes. Busy-wait polling would burn a core
+//! per shard worker, so the reactor turns fd readiness into wakes:
 //!
 //! * a future that hits `EWOULDBLOCK` registers its fd and waker with
 //!   [`FdReactor::register`] (via the [`readable`] future) and returns

@@ -68,7 +68,7 @@ impl Default for ConstructOptions {
 }
 
 /// One corrected generator with its construction statistics.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CorrectedGenerator {
     /// The final (best) generator revision.
     pub program: GeneratorProgram,
@@ -81,7 +81,7 @@ pub struct CorrectedGenerator {
 }
 
 /// The output of the construction phase.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ConstructionReport {
     /// One corrected generator per input document.
     pub generators: Vec<CorrectedGenerator>,

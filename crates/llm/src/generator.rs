@@ -75,7 +75,7 @@ impl RawTerm {
 }
 
 /// A synthesized, possibly flawed, term generator for one theory.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct GeneratorProgram {
     /// The theory this generator covers.
     pub theory: Theory,

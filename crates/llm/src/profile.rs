@@ -31,7 +31,7 @@ impl LlmKind {
 }
 
 /// Behavioural parameters of a simulated LLM.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct LlmProfile {
     /// Which model this is.
     pub kind: LlmKind,
@@ -172,7 +172,7 @@ impl LlmProfile {
 
 /// Per-theory probabilities that a freshly synthesized generator carries
 /// each flaw class.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TheoryFlawRates {
     /// Emits finite-field literals without `(as ... )` annotation.
     pub p_bare_literals: f64,
